@@ -477,8 +477,16 @@ def _render_json(record: ResultRecord) -> str:
     return json.dumps(_record_dict(record), sort_keys=True, indent=2) + "\n"
 
 
+def _shape(record: ResultRecord) -> str | None:
+    """The command whose row layout the outputs have; None for key/value."""
+    out = record.outputs
+    if isinstance(out, dict) and out.get("inconclusive"):
+        return None  # a budget-exhausted record, whatever the command
+    return record.command["name"]
+
+
 def _csv_rows(record: ResultRecord):
-    name = record.command["name"]
+    name = _shape(record)
     out = record.outputs
     if name == "census":
         yield ["n", "p", "q", "r", "count", "min_edges"]
@@ -508,7 +516,7 @@ def _csv_rows(record: ResultRecord):
         for e in out.get("conditional", {}).get("entries", ()):
             yield ["conditional", f"p={e['p']}", e["status"] != "refuting",
                    e["expected"], e["report"]["value"], e["status"]]
-    else:  # construct / compose: flat key,value table
+    else:  # construct / compose / inconclusive: flat key,value table
         yield ["key", "value"]
         for key, value in sorted(out.items()):
             yield [key, json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else value]
@@ -523,9 +531,9 @@ def _render_csv(record: ResultRecord) -> str:
 
 
 def _render_text(record: ResultRecord) -> str:
-    name = record.command["name"]
+    name = _shape(record)
     out = record.outputs
-    lines = [f"{name} (v{__version__})"]
+    lines = [f"{record.command['name']} (v{__version__})"]
     if name == "census":
         for row in out:
             lines.append(

@@ -19,10 +19,12 @@ from __future__ import annotations
 from typing import Iterator
 
 from eml.canon import key_and_order
-from eml.graphs import Graph, InputError, bits
+from eml.graphs import Graph, InputError, bits, component_masks
 
 MAX_ENUM_ORDER = 10
 MAX_TREE_ORDER = 18
+# order of the level at which every scan splits the augmentation tree
+SEED_ORDER = 6
 
 AdjKey = tuple[tuple[int, ...], int]  # adjacency rows + canonical encoding
 
@@ -34,24 +36,6 @@ def _delete_last_candidate(adj: tuple[int, ...], d: int) -> tuple[int, ...]:
     )
 
 
-def _component_masks(adj: tuple[int, ...], k: int) -> list[int]:
-    masks = []
-    left = (1 << k) - 1
-    while left:
-        seed = left & -left
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= adj[v]
-            frontier = grow & ~comp
-            comp |= frontier
-        masks.append(comp)
-        left &= ~comp
-    return masks
-
-
 def _children(
     parent: AdjKey, max_edges: int | None, require_covering: bool
 ) -> Iterator[AdjKey]:
@@ -59,7 +43,7 @@ def _children(
     adj, parent_key = parent
     k = len(adj)
     parent_edges = sum(row.bit_count() for row in adj) // 2
-    comps = _component_masks(adj, k) if require_covering else []
+    comps = component_masks(adj, (1 << k) - 1) if require_covering else []
     budget = None if max_edges is None else max_edges - parent_edges
     if budget is not None and budget < 0:
         return
@@ -88,7 +72,7 @@ def _children(
 
 def _spanning_deficit(adj: tuple[int, ...], k: int) -> int:
     """Edges any connected completion must still add: n-1-k + components."""
-    return len(_component_masks(adj, k)) - k
+    return len(component_masks(adj, (1 << k) - 1)) - k
 
 
 def descend(
@@ -136,8 +120,8 @@ def enumerate_connected_graphs(n: int, max_edges: int | None = None) -> Iterator
     if n == 1:
         yield Graph(1, (0,))
         return
-    seeds = seed_level(min(n - 1, 6), max_edges)
-    for adj, _ in descend(seeds, min(n - 1, 6), n, max_edges, True):
+    k = min(n - 1, SEED_ORDER)
+    for adj, _ in descend(seed_level(k, max_edges), k, n, max_edges, True):
         yield Graph(n, adj)
 
 

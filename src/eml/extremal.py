@@ -2,36 +2,45 @@
 least-edge-count certification, and batch verification of the closed-form
 results the constructions realize.
 
-The census enumerates connected graphs of a given order once per process
-(results are memoized) and aggregates per invariant triple: class count,
-least edge count, and the lexicographically least canonical graph6
-witnesses.  The enumeration tree is split at a fixed seed level across
-worker processes; every per-triple aggregate is merged by sum/min, so the
-result is identical for any worker count.
+Both exhaustive searches run on one scan driver, ``_scan``.  Canonical
+augmentation puts every connected class under exactly one class of the
+seed order, so the driver enumerates that level (edge-capped or not),
+deals the seeds to lanes, and each lane descends from its seeds to order n
+and folds a per-graph visit into its own accumulator.  The lanes run in a
+fork pool when more than one worker is asked for, and are merged in lane
+order; every fold and merge here is independent of order, so results are
+identical for any worker count.  An exception raised in a lane, such as
+an exhausted solver budget, reaches the caller as it would at one worker.
 
-Least-edge-count searches run over an edge-capped enumeration instead,
-scanning orders from the elementary floor 2r upward (a graph whose
-matching number is r has at least 2r vertices) and stopping once every
-remaining order would need more edges than the incumbent.  Orders beyond
-the general envelope are reachable only when the cap equals order-1, in
-which case the admissible graphs are exactly trees and the tree
-enumerator takes over.  Proven edge floors and construction witnesses
-close most searches without any enumeration at all; searches
-the envelope cannot certify come back flagged, never silently truncated.
+The census folds every connected graph of a given order into per-triple
+aggregates (class count, least edge count, and the lexicographically least
+canonical graph6 witnesses), once per process: results are memoized.
+
+Least-edge-count searches fold the (edges, key) pairs that hit the target
+triple over edge-capped scans, taking orders from the elementary floor 2r
+upward (a graph whose matching number is r has at least 2r vertices) and
+stopping once every remaining order would need more edges than the
+incumbent.  Orders beyond the general envelope are reachable only when the
+cap equals order-1, in which case the admissible graphs are exactly trees
+and the tree enumerator takes over.  Proven edge floors and construction
+witnesses close most searches without any enumeration at all; searches the
+envelope cannot certify come back flagged, never silently truncated.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from multiprocessing import get_context
-from typing import Iterable
+from typing import Callable, Iterable
 
-from eml.canon import canonical_form, key_and_order
+from eml.canon import canonical_form
 from eml.enumeration import (
     MAX_ENUM_ORDER,
     MAX_TREE_ORDER,
+    SEED_ORDER,
     descend,
     enumerate_trees,
     seed_level,
@@ -52,7 +61,7 @@ from eml.families import (
     g5,
     g_r,
 )
-from eml.graphs import Graph, InputError, emit_graph6, parse_graph6
+from eml.graphs import Graph, InputError, pack_graph6
 from eml.solvers import (
     SolverBudget,
     SolverFault,
@@ -62,7 +71,6 @@ from eml.solvers import (
 )
 from eml.starjoin import extremal_spec, star_join
 
-_SEED_ORDER = 6
 _ROW_WITNESSES = 4
 
 
@@ -71,20 +79,56 @@ def _validate_triple(p: int, q: int, r: int) -> None:
         raise InputError(f"triple must satisfy 1 <= p <= q <= r <= 2q, got ({p}, {q}, {r})")
 
 
-def _graph_from_key(n: int, key: int) -> Graph:
-    adj = [0] * n
-    bit = n * (n - 1) // 2
-    for col in range(1, n):
-        for row in range(col):
-            bit -= 1
-            if key >> bit & 1:
-                adj[row] |= 1 << col
-                adj[col] |= 1 << row
-    return Graph(n, adj)
-
-
 def _witness_strings(n: int, keys: Iterable[int]) -> tuple[str, ...]:
-    return tuple(emit_graph6(_graph_from_key(n, key)) for key in keys)
+    # a canonical key is the graph6 upper-triangle bit vector of its class
+    return tuple(pack_graph6(n, key) for key in keys)
+
+
+# ---------------------------------------------------------------------------
+# the scan driver
+# ---------------------------------------------------------------------------
+
+
+def _lane(task) -> tuple[object, int]:
+    """Fold visit over every connected order-n descendant of one lane's seeds."""
+    seeds, k, n, cap, visit, acc = task
+    scanned = 0
+    for adj, key in descend(seeds, k, n, cap, True):
+        scanned += 1
+        visit(acc, n, adj, sum(row.bit_count() for row in adj) // 2, key)
+    return acc, scanned
+
+
+def _scan(
+    n: int,
+    cap: int | None,
+    visit: Callable,
+    acc: Callable[[], object],
+    merge: Callable,
+    workers: int | None,
+) -> tuple[object, int]:
+    """Fold visit(acc, n, adj, edges, key) over the connected order-n classes
+    with at most cap edges, one fresh acc() per lane, then merge(total, part)
+    the lanes in order; returns the merged accumulator and the graphs scanned.
+    """
+    k = min(n - 1, SEED_ORDER)
+    seeds = seed_level(k, cap)
+    lanes = 1 if not workers or workers <= 1 else 4 * workers
+    tasks = [
+        (seeds[lane::lanes], k, n, cap, visit, acc())
+        for lane in range(min(lanes, max(len(seeds), 1)))
+    ]
+    if len(tasks) <= 1:
+        parts = [_lane(task) for task in tasks]
+    else:
+        with get_context("fork").Pool(processes=workers) as pool:
+            parts = pool.map(_lane, tasks, chunksize=1)
+    total = acc()
+    scanned = 0
+    for part, part_scanned in parts:
+        merge(total, part)
+        scanned += part_scanned
+    return total, scanned
 
 
 # ---------------------------------------------------------------------------
@@ -132,25 +176,8 @@ def _merge(into: _Agg, other: _Agg) -> None:
         mine[2] = sorted(set(mine[2]) | set(row[2]))[:_ROW_WITNESSES]
 
 
-def _census_task(args) -> tuple[_Agg, int]:
-    seeds, k_from, n, budget = args
-    agg: _Agg = {}
-    scanned = 0
-    for adj, key in descend(seeds, k_from, n, None, True):
-        scanned += 1
-        edges = sum(row.bit_count() for row in adj) // 2
-        if edges == 0:
-            continue
-        p, q, r = invariant_triple(Graph(n, adj), budget)
-        _aggregate(agg, (p, q, r), edges, key)
-    return agg, scanned
-
-
-def _run_tasks(tasks: list, worker, workers: int | None) -> list:
-    if not workers or workers <= 1 or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
-    with get_context("fork").Pool(processes=workers) as pool:
-        return pool.map(worker, tasks, chunksize=1)
+def _census_visit(budget, agg: _Agg, n: int, adj, edges: int, key: int) -> None:
+    _aggregate(agg, tuple(invariant_triple(Graph(n, adj), budget)), edges, key)
 
 
 def census(
@@ -173,18 +200,7 @@ def _census_full(
         result = ((), 1)  # the one-vertex graph has no edge, hence no triple
         _census_cache[n] = result
         return result
-    k_from = min(n - 1, _SEED_ORDER)
-    seeds = seed_level(k_from)
-    lanes = 1 if not workers or workers <= 1 else 4 * workers
-    tasks = [
-        (seeds[lane::lanes], k_from, n, budget)
-        for lane in range(min(lanes, len(seeds)))
-    ]
-    agg: _Agg = {}
-    scanned = 0
-    for part, part_scanned in _run_tasks(tasks, _census_task, workers):
-        _merge(agg, part)
-        scanned += part_scanned
+    agg, scanned = _scan(n, None, partial(_census_visit, budget), dict, _merge, workers)
     rows = tuple(
         CensusRow(n, triple, row[0], row[1], _witness_strings(n, row[2]))
         for triple, row in sorted(agg.items())
@@ -328,38 +344,9 @@ class _EdgeHits:
         return _witness_strings(self.n, self.keys)
 
 
-def _scan_task(args) -> tuple[list[tuple[int, int]], int]:
-    seeds, k_from, n, cap, triple, budget = args
-    found = []
-    scanned = 0
-    for adj, key in descend(seeds, k_from, n, cap, True):
-        scanned += 1
-        edges = sum(row.bit_count() for row in adj) // 2
-        if edges and invariant_triple(Graph(n, adj), budget) == triple:
-            found.append((edges, key))
-    return found, scanned
-
-
-def _scan_order(
-    n: int,
-    cap: int,
-    triple: tuple[int, int, int],
-    workers: int | None,
-    budget: SolverBudget | None,
-) -> tuple[list[tuple[int, int]], int]:
-    k_from = min(n - 1, _SEED_ORDER)
-    seeds = seed_level(k_from, cap)
-    lanes = 1 if not workers or workers <= 1 else 4 * workers
-    tasks = [
-        (seeds[lane::lanes], k_from, n, cap, triple, budget)
-        for lane in range(min(lanes, max(len(seeds), 1)))
-    ]
-    found: list[tuple[int, int]] = []
-    scanned = 0
-    for part, part_scanned in _run_tasks(tasks, _scan_task, workers):
-        found.extend(part)
-        scanned += part_scanned
-    return found, scanned
+def _hit_visit(triple, budget, found: list, n: int, adj, edges: int, key: int) -> None:
+    if invariant_triple(Graph(n, adj), budget) == triple:
+        found.append((edges, key))
 
 
 def min_edges(
@@ -402,7 +389,9 @@ def min_edges(
         if n - 1 > cap:
             break
         if n <= MAX_ENUM_ORDER:
-            found, order_scanned = _scan_order(n, cap, (p, q, r), workers, budget)
+            found, order_scanned = _scan(
+                n, cap, partial(_hit_visit, (p, q, r), budget), list, list.extend, workers
+            )
             scanned += order_scanned
             for edges, key in sorted(found):
                 hits.offer_key(n, edges, key)

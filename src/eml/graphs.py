@@ -27,7 +27,11 @@ class Graph6ParseError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
+
+    def __reduce__(self):
+        return type(self), (self.message, self.offset)
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -241,23 +245,28 @@ def induced_subgraph(g: Graph, w: int) -> Graph:
     return Graph(len(keep), adj, labels)
 
 
-def connected_components(g: Graph) -> list[int]:
-    """Vertex sets of the components, ordered by smallest contained vertex."""
-    remaining = g.vertex_mask()
+def component_masks(adj, mask: int) -> list[int]:
+    """Components of the subgraph of raw adjacency rows induced by ``mask``,
+    ordered by smallest contained vertex."""
     out = []
-    while remaining:
-        seed = remaining & -remaining
+    while mask:
+        seed = mask & -mask
         comp = seed
         frontier = seed
         while frontier:
             grow = 0
             for v in bits(frontier):
-                grow |= g.adj[v]
-            frontier = grow & remaining & ~comp
+                grow |= adj[v]
+            frontier = grow & mask & ~comp
             comp |= frontier
         out.append(comp)
-        remaining &= ~comp
+        mask &= ~comp
     return out
+
+
+def connected_components(g: Graph) -> list[int]:
+    """Vertex sets of the components, ordered by smallest contained vertex."""
+    return component_masks(g.adj, g.vertex_mask())
 
 
 def is_connected(g: Graph) -> bool:
@@ -294,26 +303,28 @@ def disjoint_union(*graphs: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def emit_graph6(g: Graph) -> str:
-    if g.n <= 62:
-        head = chr(g.n + 63)
+def pack_graph6(n: int, bit_vector: int) -> str:
+    """graph6 text of order n from its upper-triangle bits, x(0,1) most significant."""
+    if n <= 62:
+        head = chr(n + 63)
     else:
-        head = "~" + "".join(
-            chr(((g.n >> shift) & 0x3F) + 63) for shift in (12, 6, 0)
-        )
-    bit_acc = 0
-    nbits = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            bit_acc = (bit_acc << 1) | (g.adj[u] >> v & 1)
-            nbits += 1
+        head = "~" + "".join(chr(((n >> shift) & 0x3F) + 63) for shift in (12, 6, 0))
+    nbits = n * (n - 1) // 2
     pad = (-nbits) % 6
-    bit_acc <<= pad
+    bit_acc = bit_vector << pad
     nbits += pad
     body = []
     for shift in range(nbits - 6, -1, -6):
         body.append(chr(((bit_acc >> shift) & 0x3F) + 63))
     return head + "".join(body)
+
+
+def emit_graph6(g: Graph) -> str:
+    bit_acc = 0
+    for v in range(1, g.n):
+        for u in range(v):
+            bit_acc = (bit_acc << 1) | (g.adj[u] >> v & 1)
+    return pack_graph6(g.n, bit_acc)
 
 
 def parse_graph6(text: str) -> Graph:

@@ -28,8 +28,6 @@ from eml.graphs import (
     InputError,
     bits,
     closed_neighborhood,
-    is_independent,
-    is_matching,
     matched_mask,
 )
 
@@ -46,8 +44,12 @@ class BudgetExceeded(RuntimeError):
 
     def __init__(self, what: str, lower: int | None, upper: int | None):
         super().__init__(f"{what}: budget exhausted (bounds [{lower}, {upper}])")
+        self.what = what
         self.lower = lower
         self.upper = upper
+
+    def __reduce__(self):
+        return type(self), (self.what, self.lower, self.upper)
 
 
 class SolverFault(RuntimeError):
@@ -86,15 +88,6 @@ class _Meter:
                 raise BudgetExceeded(self.what, self.lower, self.upper)
 
 
-def _edge_list(adj: tuple[int, ...]) -> list[tuple[int, int]]:
-    out = []
-    for u, row in enumerate(adj):
-        high = row >> (u + 1) << (u + 1)
-        for v in bits(high):
-            out.append((u, v))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Oracle: enumerate every matching outright and classify it.
 # ---------------------------------------------------------------------------
@@ -124,7 +117,7 @@ def brute_force_invariants(g: Graph) -> InvariantTriple:
     best_induced = 0
     best_maximal = m + 1
 
-    def classify(chosen: list[int], used: int, blocked: int, induced: bool) -> None:
+    def classify(chosen: list[int], used: int, induced: bool) -> None:
         nonlocal best_match, best_induced, best_maximal
         k = len(chosen)
         if k > best_match:
@@ -138,7 +131,7 @@ def brute_force_invariants(g: Graph) -> InvariantTriple:
                 best_maximal = k
 
     def walk(i: int, chosen: list[int], used: int, blocked: int, induced: bool) -> None:
-        classify(chosen, used, blocked, induced)
+        classify(chosen, used, induced)
         for j in range(i, m):
             if emask[j] & used:
                 continue
@@ -274,6 +267,7 @@ def _min_maximal_size(adj: tuple[int, ...], free: int, memo: dict, meter: _Meter
     total = 0
     remaining = free
     while remaining:
+        # inline BFS rather than graphs.component_masks: this is the hottest loop of q
         seed = remaining & -remaining
         comp = seed
         frontier = seed
@@ -334,11 +328,12 @@ def min_maximal_matching_number(g: Graph, budget: SolverBudget | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _mis_size(neigh: list[int], meter: _Meter | None = None) -> int:
-    n = len(neigh)
-    if n == 0:
+def _mis_size(neigh: list[int], meter: _Meter | None = None, pool: int | None = None) -> int:
+    """Size of a maximum independent set among ``pool`` (default: all of neigh)."""
+    if pool is None:
+        pool = (1 << len(neigh)) - 1
+    if not pool:
         return 0
-    full = (1 << n) - 1
     best = 0
 
     def clique_cover_bound(pool: int) -> int:
@@ -393,7 +388,7 @@ def _mis_size(neigh: list[int], meter: _Meter | None = None) -> int:
         expand(pool & ~neigh[v] & ~(1 << v), size + 1)
         expand(pool & ~(1 << v), size)
 
-    expand(full, 0)
+    expand(pool, 0)
     return best
 
 
@@ -547,64 +542,33 @@ def minimum_maximal_matching(g: Graph, budget: SolverBudget | None = None) -> tu
     return ()
 
 
-def maximum_induced_matching(g: Graph, budget: SolverBudget | None = None) -> tuple[tuple[int, int], ...]:
-    """Lexicographically least maximum induced matching of g."""
-    edges, conflicts = _edge_conflicts(g)
-    m = len(edges)
-    target = _mis_size(conflicts)
-    pool = (1 << m) - 1
-    chosen: list[tuple[int, int]] = []
-    need = target
-    for i in range(m):
-        if need == 0:
-            break
-        if not pool >> i & 1:
-            continue
-        shrunk = pool & ~conflicts[i] & ~(1 << i)
-        rest = [conflicts[j] & shrunk for j in range(m)]
-        if 1 + _mis_size_over(rest, shrunk) == need:
-            chosen.append(edges[i])
-            pool = shrunk
-            need -= 1
-        else:
-            pool &= ~(1 << i)
-    if need:
-        raise SolverFault("induced matching witness reconstruction failed")
-    return tuple(chosen)
-
-
-def maximum_independent_set(g: Graph, budget: SolverBudget | None = None) -> int:
-    """Vertex mask of the lexicographically least maximum independent set."""
-    target = independence_number(g, budget)
-    pool = g.vertex_mask()
-    out = 0
-    need = target
-    for v in range(g.n):
+def _least_mis(neigh: list[int], need: int) -> list[int]:
+    """Lexicographically least independent set of size ``need``, the MIS size."""
+    pool = (1 << len(neigh)) - 1
+    chosen = []
+    for v in range(len(neigh)):
         if need == 0:
             break
         if not pool >> v & 1:
             continue
-        shrunk = pool & ~g.adj[v] & ~(1 << v)
-        rest = [g.adj[j] & shrunk for j in range(g.n)]
-        if 1 + _mis_size_over(rest, shrunk) == need:
-            out |= 1 << v
+        shrunk = pool & ~neigh[v] & ~(1 << v)
+        if 1 + _mis_size(neigh, pool=shrunk) == need:
+            chosen.append(v)
             pool = shrunk
             need -= 1
         else:
             pool &= ~(1 << v)
     if need:
         raise SolverFault("independent set witness reconstruction failed")
-    return out
+    return chosen
 
 
-def _mis_size_over(neigh: list[int], pool: int) -> int:
-    """MIS size restricted to ``pool`` (helper for the witness reductions)."""
-    keep = list(bits(pool))
-    index = {v: i for i, v in enumerate(keep)}
-    packed = []
-    for v in keep:
-        row = 0
-        for u in bits(neigh[v] & pool):
-            row |= 1 << index[u]
-        packed.append(row)
-    return _mis_size(packed)
+def maximum_induced_matching(g: Graph, budget: SolverBudget | None = None) -> tuple[tuple[int, int], ...]:
+    """Lexicographically least maximum induced matching of g."""
+    edges, conflicts = _edge_conflicts(g)
+    return tuple(edges[i] for i in _least_mis(conflicts, _mis_size(conflicts)))
+
+
+def maximum_independent_set(g: Graph, budget: SolverBudget | None = None) -> int:
+    """Vertex mask of the lexicographically least maximum independent set."""
+    return sum(1 << v for v in _least_mis(list(g.adj), independence_number(g, budget)))

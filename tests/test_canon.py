@@ -5,9 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eml.canon import canonical_form, canonical_graph, canonical_order
+from eml.canon import canonical_form, canonical_graph, canonical_order, key_and_order
 from eml.families import complete, complete_bipartite, cycle
-from eml.graphs import Graph, parse_graph6
+from eml.graphs import Graph, pack_graph6, parse_graph6
 
 
 def permuted(g: Graph, perm) -> Graph:
@@ -23,6 +23,11 @@ def permuted(g: Graph, perm) -> Graph:
 def test_complete_graph_key_is_frozen():
     # agrees with the standard graph6 encoding of K_5 under any labeling
     assert canonical_form(complete(5)) == "D~{"
+
+
+def test_key_is_the_canonical_graph6_bit_vector():
+    for g in (complete(5), cycle(7), complete_bipartite(2, 3), Graph(3, [0, 0, 0])):
+        assert pack_graph6(g.n, key_and_order(g.adj, g.n)[0]) == canonical_form(g)
 
 
 def test_cycle_relabelings_share_a_key():

@@ -1,10 +1,15 @@
 """End-to-end checks of the command-line front end."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
-from eml import __version__
+import eml
+from eml import __version__, extremal
 from eml.cli import main
 from eml.graphs import parse_graph6
 from eml.solvers import invariant_triple
@@ -174,6 +179,43 @@ def test_search_budget_exhaustion_is_soft(capsys):
     code, rec, _ = run_json(capsys, "search", "mine", "1", "3", "3", "--budget-nodes", "1")
     assert code == 0  # inconclusive, not an error
     assert rec["outputs"]["inconclusive"] is True
+
+
+def test_budget_exhaustion_in_worker_pool_returns():
+    # an exception raised in a worker must reach the parent; it used to hang the pool
+    env = {k: v for k, v in os.environ.items() if not k.startswith("EML_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(eml.__file__)), env.get("PYTHONPATH", "")]
+    )
+    argv = ["census", "6", "--workers", "2", "--budget-nodes", "3"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eml.cli", *argv], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("eml census with two workers did not exit on an exhausted budget")
+    assert proc.returncode == 0, err
+    assert json.loads(out)["outputs"]["inconclusive"] is True
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["census", "6", "--format", "csv"], "inconclusive,True"),
+        (["census", "6", "--format", "text"], "  inconclusive: True"),
+        (["search", "mine", "1", "3", "4", "--format", "csv"], "inconclusive,True"),
+    ],
+)
+def test_inconclusive_record_renders_as_key_value(capsys, monkeypatch, argv, line):
+    monkeypatch.setattr(extremal, "_census_cache", {})  # force a fresh, budgeted scan
+    code, out, _ = run(capsys, *argv, "--budget-nodes", "3")
+    assert code == 0
+    assert line in out.splitlines()
+    assert "budget exhausted" in out
 
 
 def test_search_witnesses_zero_strips_list(capsys):

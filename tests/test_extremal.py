@@ -79,10 +79,12 @@ def test_census_is_memoized():
 
 
 def test_census_parallel_merge_matches_serial():
-    serial = census(6)
+    extremal._census_cache.pop(6, None)
+    serial, serial_scanned = extremal._census_full(6, 1)
     extremal._census_cache.pop(6)
-    parallel = census(6, workers=2)
+    parallel, parallel_scanned = extremal._census_full(6, 2)
     assert serial == parallel
+    assert serial_scanned == parallel_scanned
 
 
 @pytest.mark.parametrize(

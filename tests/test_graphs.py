@@ -1,6 +1,7 @@
 """Graph representation, set predicates, and the graph6 codec."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from eml.graphs import (
     InputError,
     bits,
     closed_neighborhood,
+    component_masks,
     connected_components,
     degree,
     disjoint_union,
@@ -24,6 +26,7 @@ from eml.graphs import (
     is_maximal_matching,
     is_tree,
     matched_mask,
+    pack_graph6,
     parse_graph6,
 )
 
@@ -220,6 +223,13 @@ def test_connected_components_examples():
     assert not is_tree(cycle(5))
 
 
+def test_component_masks_respect_the_mask():
+    p5 = path(5)
+    assert component_masks(p5.adj, 0b11011) == [0b00011, 0b11000]
+    assert component_masks(p5.adj, 0b10101) == [0b00001, 0b00100, 0b10000]
+    assert component_masks(p5.adj, 0) == []
+
+
 def test_disjoint_union_blocks():
     g = disjoint_union(path(2), path(3))
     assert g.n == 5
@@ -252,6 +262,22 @@ def test_graph6_parse_errors_carry_offsets():
     with pytest.raises(Graph6ParseError):
         # order 100 > 64: header '~' + 3 bytes encoding 100, no body needed to fail
         parse_graph6("~??c" + "?" * 1000)
+
+
+def test_graph6_parse_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(Graph6ParseError("truncated adjacency bit vector", 2)))
+    assert isinstance(err, Graph6ParseError)
+    assert err.offset == 2
+    assert str(err) == "truncated adjacency bit vector (byte offset 2)"
+
+
+def test_pack_graph6_of_the_bit_vector_is_emit_graph6():
+    for g in (Graph(0, []), Graph(1, [0]), complete(5), path(7), cycle(12)):
+        vector = 0
+        for v in range(1, g.n):
+            for u in range(v):
+                vector = vector << 1 | g.has_edge(u, v)
+        assert pack_graph6(g.n, vector) == emit_graph6(g)
 
 
 def test_graph6_optional_prefix():

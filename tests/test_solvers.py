@@ -1,6 +1,7 @@
 """Solver correctness: oracle equivalence, known values, witnesses, budgets."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,6 +359,13 @@ def test_budget_exhaustion_carries_bounds():
     assert err.value.upper is not None
     with pytest.raises(BudgetExceeded):
         independence_number(complete_bipartite(8, 8), SolverBudget(node_limit=2))
+
+
+def test_budget_exceeded_survives_pickling():
+    err = pickle.loads(pickle.dumps(BudgetExceeded("matching number", 2, 5)))
+    assert isinstance(err, BudgetExceeded)
+    assert (err.what, err.lower, err.upper) == ("matching number", 2, 5)
+    assert str(err) == "matching number: budget exhausted (bounds [2, 5])"
 
 
 def test_generous_budget_is_harmless():
