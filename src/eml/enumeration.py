@@ -8,7 +8,9 @@ exactly when deleting the vertex at the last canonical position
 reproduces the parent's canonical key.  Each isomorphism class then
 appears once, under exactly one parent, without any global seen-set --
 which is also what lets the extremal searches split the level-by-level
-tree across worker processes.
+tree across worker processes.  The last canonical position always holds a
+vertex of maximum degree, so children whose new vertex is not of maximum
+degree are rejected before any canonical labeling.
 
 Trees are generated separately by leaf augmentation with a rooted-code
 (sorted-subtree) key at the tree centers, which reaches order 18 cheaply.
@@ -49,9 +51,19 @@ def _children(
         return
     if require_covering and budget is not None and len(comps) > budget:
         return
+    # The canonical deletion vertex lies in the last cell of the refined
+    # partition, hence has maximum degree, and an accepted child loses
+    # exactly |s| edges with it: a child whose maximum degree exceeds |s|
+    # is rejected, as is every child isomorphic to it, so it is skipped
+    # before labeling (the seen set only ever dedups isomorphic children).
+    top = max((row.bit_count() for row in adj), default=0)
+    top_mask = sum(1 << v for v, row in enumerate(adj) if row.bit_count() == top)
     seen: set[int] = set()
     for s in range(1 if require_covering else 0, 1 << k):
-        if budget is not None and s.bit_count() > budget:
+        size = s.bit_count()
+        if budget is not None and size > budget:
+            continue
+        if size < top or (size == top and s & top_mask):
             continue
         if require_covering and any(not s & c for c in comps):
             continue
