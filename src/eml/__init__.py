@@ -49,6 +49,7 @@ from eml.solvers import (
 )
 from eml.families import (
     BoundParams,
+    bound34,
     bound34_1,
     bound34_2,
     bound34_3,

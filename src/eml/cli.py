@@ -64,7 +64,7 @@ from eml.graphs import (
 from eml.solvers import (
     BudgetExceeded,
     SolverBudget,
-    has_perfect_matching,
+    checked_triple,
     independence_number,
     invariant_triple,
     maximum_induced_matching,
@@ -166,10 +166,6 @@ def _env(name: str, cast, default=None):
 # ---------------------------------------------------------------------------
 
 
-def _edge_list(pairs) -> list[list[int]]:
-    return [list(e) for e in pairs]
-
-
 def _cmd_invariants(cfg: RunConfig):
     source = cfg.params["input"]
     if source == "-":
@@ -191,21 +187,27 @@ def _cmd_invariants(cfg: RunConfig):
             continue
         try:
             g = parse_graph6(text)
-            p, q, r = invariant_triple(g, budget)
+            if cfg.witnesses >= 1:
+                # the witness sizes are the triple; solved in the order r, q, p
+                optimal = {
+                    "maximum_matching": maximum_matching(g, budget),
+                    "minimum_maximal_matching": minimum_maximal_matching(g, budget),
+                    "maximum_induced_matching": maximum_induced_matching(g, budget),
+                }
+                r, q, p = map(len, optimal.values())
+                p, q, r = checked_triple(g, p, q, r)
+            else:
+                p, q, r = invariant_triple(g, budget)
             entry = {
                 "graph6": text,
                 "n": g.n,
                 "edges": g.num_edges(),
                 "triple": [p, q, r],
                 "alpha": independence_number(g, budget),
-                "perfect_matching": has_perfect_matching(g),
+                "perfect_matching": 2 * r == g.n,
             }
             if cfg.witnesses >= 1:
-                entry["optimal"] = {
-                    "maximum_matching": _edge_list(maximum_matching(g, budget)),
-                    "minimum_maximal_matching": _edge_list(minimum_maximal_matching(g, budget)),
-                    "maximum_induced_matching": _edge_list(maximum_induced_matching(g, budget)),
-                }
+                entry["optimal"] = {key: [list(e) for e in edges] for key, edges in optimal.items()}
             results.append(entry)
         except (Graph6ParseError, InputError, CapacityError) as exc:
             errors.append({"line": lineno, "text": text, "error": str(exc)})

@@ -169,12 +169,12 @@ def _tree_key(adj: tuple[int, ...], n: int) -> str:
     return min(code(c, -1) for c in centers)
 
 
-def enumerate_trees(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of trees of order n."""
-    if not 1 <= n <= MAX_TREE_ORDER:
-        raise InputError(f"order {n} outside 1..{MAX_TREE_ORDER}")
+def tree_levels(n_max: int) -> Iterator[list[tuple[int, ...]]]:
+    """Adjacency rows of one tree per isomorphism class, for each order
+    1..n_max in turn; each level is grown from the one before."""
     level: list[tuple[int, ...]] = [(0,)]
-    for k in range(1, n):
+    yield level
+    for k in range(1, n_max):
         grown: dict[str, tuple[int, ...]] = {}
         for adj in level:
             for v in range(k):
@@ -185,5 +185,14 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
                 if key not in grown:
                     grown[key] = child
         level = list(grown.values())
+        yield level
+
+
+def enumerate_trees(n: int) -> Iterator[Graph]:
+    """One representative per isomorphism class of trees of order n."""
+    if not 1 <= n <= MAX_TREE_ORDER:
+        raise InputError(f"order {n} outside 1..{MAX_TREE_ORDER}")
+    for level in tree_levels(n):
+        pass
     for adj in level:
         yield Graph(n, adj)

@@ -14,7 +14,7 @@ an exhausted solver budget, reaches the caller as it would at one worker.
 
 The census folds every connected graph of a given order into per-triple
 aggregates (class count, least edge count, and the lexicographically least
-canonical graph6 witnesses), once per process: results are memoized.
+canonical graph6 witnesses), memoized per order and budget.
 
 Least-edge-count searches fold the (edges, key) pairs that hit the target
 triple over edge-capped scans, taking orders from the elementary floor 2r
@@ -36,7 +36,7 @@ from math import comb
 from multiprocessing import get_context
 from typing import Callable, Iterable
 
-from eml.canon import canonical_form
+from eml.canon import canonical_form, key_and_order
 from eml.enumeration import (
     MAX_ENUM_ORDER,
     MAX_TREE_ORDER,
@@ -44,11 +44,10 @@ from eml.enumeration import (
     descend,
     enumerate_trees,
     seed_level,
+    tree_levels,
 )
 from eml.families import (
-    bound34_1,
-    bound34_2,
-    bound34_3,
+    bound34,
     complete,
     complete_bipartite,
     cycle,
@@ -145,7 +144,7 @@ class CensusRow:
     witnesses: tuple[str, ...]  # lexicographically least canonical graph6 keys
 
 
-_census_cache: dict[int, tuple[tuple[CensusRow, ...], int]] = {}
+_census_cache: dict[tuple[int, SolverBudget | None], tuple[tuple[CensusRow, ...], int]] = {}
 
 _Agg = dict[tuple[int, int, int], list]  # triple -> [count, min_edges, [keys]]
 
@@ -193,13 +192,11 @@ def _census_full(
 ) -> tuple[tuple[CensusRow, ...], int]:
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise InputError(f"order {n} outside 1..{MAX_ENUM_ORDER}")
-    cached = _census_cache.get(n)
+    cached = _census_cache.get((n, budget))
     if cached is not None:
         return cached
     if n == 1:
-        result = ((), 1)  # the one-vertex graph has no edge, hence no triple
-        _census_cache[n] = result
-        return result
+        return (), 1  # the one-vertex graph has no edge, hence no triple
     agg, scanned = _scan(n, None, partial(_census_visit, budget), dict, _merge, workers)
     rows = tuple(
         CensusRow(n, triple, row[0], row[1], _witness_strings(n, row[2]))
@@ -210,7 +207,7 @@ def _census_full(
         if not (1 <= p <= q <= r <= 2 * q and 2 * r <= n):
             raise SolverFault(f"census row violates invariant chain: {row}")
     result = (rows, scanned)
-    _census_cache[n] = result
+    _census_cache[n, budget] = result
     return result
 
 
@@ -302,11 +299,7 @@ def _paper_edge_bound(p: int, q: int, r: int) -> tuple[int, Graph | None]:
         one, two = f1(q, r), f2(q, r)
         # no generator is provided for the bound "two"; the witness covers "one"
         return (one, g5(q, r)) if one <= two else (two, None)
-    if r == q:
-        return bound34_1(p, q), star_join(extremal_spec(p, q, r))
-    if r <= 2 * q - p + 1:
-        return bound34_2(p, q, r), star_join(extremal_spec(p, q, r))
-    return bound34_3(p, q, r), star_join(extremal_spec(p, q, r))
+    return bound34(p, q, r), star_join(extremal_spec(p, q, r))
 
 
 class _EdgeHits:
@@ -317,31 +310,18 @@ class _EdgeHits:
         self.edges: int | None = None
         self.n = 0
         self.keys: list[int] = []
-        self.strings: list[str] | None = None
 
     def offer_key(self, n: int, edges: int, key: int) -> None:
         if self.edges is None or edges < self.edges:
             self.edges = edges
             self.keys = [key]
-            self.strings = None
             self.n = n
             return
         if edges == self.edges and (len(self.keys) < self.limit or key < self.keys[-1]):
             self.keys = sorted(set(self.keys) | {key})[: self.limit]
 
     def offer_graph(self, g: Graph) -> None:
-        edges = g.num_edges()
-        if self.edges is None or edges < self.edges:
-            self.edges = edges
-            self.strings = [canonical_form(g)]
-            self.keys = []
-        elif edges == self.edges and self.strings is not None:
-            self.strings = sorted(set(self.strings) | {canonical_form(g)})[: self.limit]
-
-    def witnesses(self) -> tuple[str, ...]:
-        if self.strings is not None:
-            return tuple(self.strings)
-        return _witness_strings(self.n, self.keys)
+        self.offer_key(g.n, g.num_edges(), key_and_order(g.adj, g.n)[0])
 
 
 def _hit_visit(triple, budget, found: list, n: int, adj, edges: int, key: int) -> None:
@@ -408,7 +388,7 @@ def min_edges(
     value = hits.edges
     return SearchReport(
         "edges", (p, q, r), value, certified, floor, bound,
-        hits.witnesses() if value is not None else (),
+        _witness_strings(hits.n, hits.keys),
         scanned, searched_to, time.perf_counter() - started,
     )
 
@@ -685,24 +665,14 @@ def check_upper_bounds(
     for p in range(2, p_max + 1):
         for q in range(p + 1, r_max + 1):
             for r in range(q, min(2 * q, r_max) + 1):
-                if r == q:
-                    bound = bound34_1(p, q)
-                elif r <= 2 * q - p + 1:
-                    bound = bound34_2(p, q, r)
-                else:
-                    bound = bound34_3(p, q, r)
                 entries.append(_bound_entry(
-                    "hub-join", (p, q, r), bound,
+                    "hub-join", (p, q, r), bound34(p, q, r),
                     star_join(extremal_spec(p, q, r)), certify_cap, workers, budget,
                 ))
     for p in (2, 3):
         for dr, want in ((0, 2 * p + 3), (1, 2 * p + 5), (3, 2 * p + 11)):
             q, r = p + 1, p + 1 + dr
-            bound = (
-                bound34_1(p, q) if r == q
-                else bound34_2(p, q, r) if r <= 2 * q - p + 1
-                else bound34_3(p, q, r)
-            )
+            bound = bound34(p, q, r)
             entries.append(BoundCheck(
                 "hub-join-identities", (p, q, r), bound, None,
                 bound == want, None, None,
@@ -739,18 +709,17 @@ def tree_conjecture_check(n_max: int) -> TreeConjectureReport:
         raise InputError(f"n_max {n_max} outside 1..{MAX_TREE_ORDER}")
     per_order = []
     counterexample = None
-    for n in range(1, n_max + 1):
-        count = 0
-        for g in enumerate_trees(n):
-            count += 1
-            if g.num_edges() == 0:
-                continue
-            if counterexample is None:
-                ind = induced_matching_number(g)
-                low = min_maximal_matching_number(g)
-                if ind != low:
-                    counterexample = (canonical_form(g), ind, low)
-        per_order.append((n, count))
+    for n, level in enumerate(tree_levels(n_max), 1):
+        per_order.append((n, len(level)))
+        if n == 1 or counterexample is not None:
+            continue  # order 1 has no edge; past a counterexample only counts remain
+        for adj in level:
+            g = Graph(n, adj)
+            ind = induced_matching_number(g)
+            low = min_maximal_matching_number(g)
+            if ind != low:
+                counterexample = (canonical_form(g), ind, low)
+                break
     return TreeConjectureReport(n_max, tuple(per_order), counterexample)
 
 

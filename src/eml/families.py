@@ -213,3 +213,12 @@ def bound34_3(p: int, q: int, r: int) -> int:
         raise InputError(f"bound34_3 needs 2q-p+1 < r <= 2q, got ({p}, {q}, {r})")
     a, b, _, _ = divide(r - q, p - 2 * q + r)
     return p + 2 * q - r + (p - 2 * q + r) * comb(2 * a + 1, 2) + b * (4 * a + 3)
+
+
+def bound34(p: int, q: int, r: int) -> int:
+    """The hub-join edge bound for (p, q, r): bound34_1, _2 or _3 by the case r falls in."""
+    if r == q:
+        return bound34_1(p, q)
+    if r <= 2 * q - p + 1:
+        return bound34_2(p, q, r)
+    return bound34_3(p, q, r)

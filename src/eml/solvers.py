@@ -21,6 +21,7 @@ the best bounds established so far.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Iterator, NamedTuple
 
 from eml.graphs import (
@@ -69,7 +70,7 @@ class _Meter:
 
     __slots__ = ("nodes", "node_limit", "deadline", "what", "lower", "upper")
 
-    def __init__(self, what: str, budget: SolverBudget | None):
+    def __init__(self, what: str, budget: SolverBudget | None, upper: int):
         self.what = what
         self.nodes = 0
         self.node_limit = budget.node_limit if budget else None
@@ -77,7 +78,7 @@ class _Meter:
         if budget and budget.time_limit is not None:
             self.deadline = time.monotonic() + budget.time_limit
         self.lower: int | None = None
-        self.upper: int | None = None
+        self.upper = upper
 
     def tick(self) -> None:
         self.nodes += 1
@@ -242,12 +243,16 @@ def _max_matching_mate(adj: tuple[int, ...], n: int, meter: _Meter | None = None
     return mate
 
 
+def _matching_size(adj: tuple[int, ...], free: int, meter: _Meter | None) -> int:
+    """Matching number of the subgraph induced on the vertex set ``free``."""
+    rows = tuple(row & free if free >> v & 1 else 0 for v, row in enumerate(adj))
+    return sum(1 for v in _max_matching_mate(rows, len(adj), meter) if v >= 0) // 2
+
+
 def matching_number(g: Graph, budget: SolverBudget | None = None) -> int:
     """Largest size of a matching of g."""
-    meter = _Meter("matching number", budget)
-    meter.upper = g.n // 2
-    mate = _max_matching_mate(g.adj, g.n, meter)
-    return sum(1 for v in mate if v >= 0) // 2
+    meter = _Meter("matching number", budget, g.n // 2)
+    return _matching_size(g.adj, g.vertex_mask(), meter)
 
 
 def has_perfect_matching(g: Graph) -> bool:
@@ -315,8 +320,7 @@ def _min_maximal_component(adj: tuple[int, ...], free: int, memo: dict, meter: _
 
 def min_maximal_matching_number(g: Graph, budget: SolverBudget | None = None) -> int:
     """Smallest size of a maximal matching of g (edge domination number)."""
-    meter = _Meter("min maximal matching", budget)
-    meter.upper = g.n // 2
+    meter = _Meter("min maximal matching", budget, g.n // 2)
     return _min_maximal_size(g.adj, g.vertex_mask(), {}, meter)
 
 
@@ -394,8 +398,7 @@ def _mis_size(neigh: list[int], meter: _Meter | None = None, pool: int | None = 
 
 def independence_number(g: Graph, budget: SolverBudget | None = None) -> int:
     """alpha(g) = largest size of an independent vertex set."""
-    meter = _Meter("independence number", budget)
-    meter.upper = g.n
+    meter = _Meter("independence number", budget, g.n)
     return _mis_size(list(g.adj), meter)
 
 
@@ -416,22 +419,26 @@ def _edge_conflicts(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
 
 def induced_matching_number(g: Graph, budget: SolverBudget | None = None) -> int:
     """Largest size of an induced matching of g."""
-    meter = _Meter("induced matching number", budget)
     _, conflicts = _edge_conflicts(g)
-    meter.upper = len(conflicts)
+    meter = _Meter("induced matching number", budget, len(conflicts))
     return _mis_size(conflicts, meter)
+
+
+def checked_triple(g: Graph, p: int, q: int, r: int) -> InvariantTriple:
+    """(p, q, r) of g once g has an edge and the values pass the chain check."""
+    if g.num_edges() == 0:
+        raise InputError("invariant triple needs at least one edge")
+    if not (1 <= p <= q <= r <= 2 * q) or 2 * r > g.n:
+        raise SolverFault(f"invariant chain violated: p={p} q={q} r={r} n={g.n}")
+    return InvariantTriple(p, q, r)
 
 
 def invariant_triple(g: Graph, budget: SolverBudget | None = None) -> InvariantTriple:
     """(p, q, r) for a graph with at least one edge, chain-checked."""
-    if g.num_edges() == 0:
-        raise InputError("invariant triple needs at least one edge")
     r = matching_number(g, budget)
     q = min_maximal_matching_number(g, budget)
     p = induced_matching_number(g, budget)
-    if not (1 <= p <= q <= r <= 2 * q) or 2 * r > g.n:
-        raise SolverFault(f"invariant chain violated: p={p} q={q} r={r} n={g.n}")
-    return InvariantTriple(p, q, r)
+    return checked_triple(g, p, q, r)
 
 
 # ---------------------------------------------------------------------------
@@ -499,76 +506,78 @@ def satisfies_star2(g: Graph, v: int, budget: SolverBudget | None = None) -> boo
 
 
 # ---------------------------------------------------------------------------
-# Optimal witnesses.  Each solver's witness is the lexicographically least
-# optimum under the fixed edge order, computed by greedy self-reduction, so
-# reruns and alternative implementations agree byte-for-byte.
+# Optimal witnesses.  All four come from one greedy self-reduction over the
+# solver that computes their value, so each is the lexicographically least
+# optimum under the fixed item order and reruns agree byte-for-byte.  One
+# meter per call covers the value solve and every reduction step.
 # ---------------------------------------------------------------------------
+
+
+def _least_optimum(own: list[int], kill: list[int], pool: int, need: int, value) -> list[int]:
+    """Indices of the least items, in order, that reach the optimum ``need``.
+
+    Item i is available while ``own[i]`` lies inside ``pool``, and taken when
+    ``1 + value(pool & ~kill[i]) == need``.  A rejected item stays in the
+    pool: no optimum left can use it, or it would have been taken.
+    """
+    chosen = []
+    for i, mask in enumerate(own):
+        if need == 0:
+            break
+        if mask & ~pool:
+            continue
+        shrunk = pool & ~kill[i]
+        if 1 + value(shrunk) == need:
+            chosen.append(i)
+            pool = shrunk
+            need -= 1
+    if need:
+        raise SolverFault("witness reconstruction failed")
+    return chosen
+
+
+def _matching_witness(g: Graph, value) -> tuple[tuple[int, int], ...]:
+    # edges are the items; the pool is the set of vertices still free
+    edges = g.edges()
+    ends = [(1 << u) | (1 << v) for u, v in edges]
+    full = g.vertex_mask()
+    return tuple(edges[i] for i in _least_optimum(ends, ends, full, value(full), value))
 
 
 def maximum_matching(g: Graph, budget: SolverBudget | None = None) -> tuple[tuple[int, int], ...]:
     """Lexicographically least maximum matching of g."""
-    target = matching_number(g, budget)
-    adj = list(g.adj)
-    chosen: list[tuple[int, int]] = []
-    need = target
-    for u, v in g.edges():
-        if need == 0:
-            break
-        if not (adj[u] >> v & 1):
-            continue  # an endpoint was consumed earlier
-        trimmed = list(adj)
-        kill = (1 << u) | (1 << v)
-        for w in bits(trimmed[u] | trimmed[v]):
-            trimmed[w] &= ~kill
-        trimmed[u] = trimmed[v] = 0
-        mate = _max_matching_mate(tuple(trimmed), g.n)
-        if sum(1 for x in mate if x >= 0) // 2 + 1 == need:
-            chosen.append((u, v))
-            adj = trimmed
-            need -= 1
-        else:
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-    if need:
-        raise SolverFault("matching witness reconstruction failed")
-    return tuple(chosen)
+    meter = _Meter("matching number", budget, g.n // 2)
+    return _matching_witness(g, lambda free: _matching_size(g.adj, free, meter))
 
 
 def minimum_maximal_matching(g: Graph, budget: SolverBudget | None = None) -> tuple[tuple[int, int], ...]:
-    """Lexicographically least minimum maximal matching of g."""
-    q = min_maximal_matching_number(g, budget)
-    for matching in enumerate_maximal_matchings(g, size_filter=q):
-        return matching
-    return ()
+    """Lexicographically least minimum maximal matching of g.
+
+    A maximal matching containing S is S plus one of G - V(S), so the value
+    of a free set is q of the graph it induces; one memo serves every call.
+    """
+    meter = _Meter("min maximal matching", budget, g.n // 2)
+    memo: dict = {}
+    return _matching_witness(g, lambda free: _min_maximal_size(g.adj, free, memo, meter))
 
 
-def _least_mis(neigh: list[int], need: int) -> list[int]:
-    """Lexicographically least independent set of size ``need``, the MIS size."""
+def _mis_witness(neigh: list[int], meter: _Meter) -> list[int]:
+    # vertices of neigh are the items; taking one drops its closed neighborhood
+    own = [1 << v for v in range(len(neigh))]
+    kill = [bit | row for bit, row in zip(own, neigh)]
     pool = (1 << len(neigh)) - 1
-    chosen = []
-    for v in range(len(neigh)):
-        if need == 0:
-            break
-        if not pool >> v & 1:
-            continue
-        shrunk = pool & ~neigh[v] & ~(1 << v)
-        if 1 + _mis_size(neigh, pool=shrunk) == need:
-            chosen.append(v)
-            pool = shrunk
-            need -= 1
-        else:
-            pool &= ~(1 << v)
-    if need:
-        raise SolverFault("independent set witness reconstruction failed")
-    return chosen
+    value = partial(_mis_size, neigh, meter)
+    return _least_optimum(own, kill, pool, value(pool), value)
 
 
 def maximum_induced_matching(g: Graph, budget: SolverBudget | None = None) -> tuple[tuple[int, int], ...]:
     """Lexicographically least maximum induced matching of g."""
     edges, conflicts = _edge_conflicts(g)
-    return tuple(edges[i] for i in _least_mis(conflicts, _mis_size(conflicts)))
+    meter = _Meter("induced matching number", budget, len(conflicts))
+    return tuple(edges[i] for i in _mis_witness(conflicts, meter))
 
 
 def maximum_independent_set(g: Graph, budget: SolverBudget | None = None) -> int:
     """Vertex mask of the lexicographically least maximum independent set."""
-    return sum(1 << v for v in _least_mis(list(g.adj), independence_number(g, budget)))
+    meter = _Meter("independence number", budget, g.n)
+    return sum(1 << v for v in _mis_witness(list(g.adj), meter))

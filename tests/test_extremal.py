@@ -15,7 +15,13 @@ from eml.extremal import (
     verify_theorems,
 )
 from eml.graphs import Graph, InputError, is_connected, parse_graph6
-from eml.solvers import induced_matching_number, invariant_triple, min_maximal_matching_number
+from eml.solvers import (
+    BudgetExceeded,
+    SolverBudget,
+    induced_matching_number,
+    invariant_triple,
+    min_maximal_matching_number,
+)
 
 
 def test_census_order_two():
@@ -79,12 +85,18 @@ def test_census_is_memoized():
 
 
 def test_census_parallel_merge_matches_serial():
-    extremal._census_cache.pop(6, None)
+    extremal._census_cache.pop((6, None), None)
     serial, serial_scanned = extremal._census_full(6, 1)
-    extremal._census_cache.pop(6)
+    extremal._census_cache.pop((6, None))
     parallel, parallel_scanned = extremal._census_full(6, 2)
     assert serial == parallel
     assert serial_scanned == parallel_scanned
+
+
+def test_census_memo_is_keyed_by_budget():
+    census(6)
+    with pytest.raises(BudgetExceeded):
+        census(6, budget=SolverBudget(node_limit=3))
 
 
 @pytest.mark.parametrize(

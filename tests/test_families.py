@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eml.families import (
     BoundParams,
+    bound34,
     bound34_1,
     bound34_2,
     bound34_3,
@@ -206,6 +207,9 @@ def test_bound34_example_instances():
         assert bound34_1(p, p + 1) == 2 * p + 3
         assert bound34_2(p, p + 1, p + 2) == 2 * p + 5
         assert bound34_3(p, p + 1, p + 4) == 2 * p + 11
+        assert [bound34(p, p + 1, r) for r in (p + 1, p + 2, p + 4)] == [
+            2 * p + 3, 2 * p + 5, 2 * p + 11
+        ]
     with pytest.raises(InputError):
         bound34_1(1, 3)
     with pytest.raises(InputError):

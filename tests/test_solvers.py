@@ -6,6 +6,8 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eml.enumeration import seed_level
+from eml.families import g_r
 from eml.graphs import (
     Graph,
     InputError,
@@ -341,6 +343,16 @@ def test_witnesses_are_lex_least_optima(g):
     assert maximum_induced_matching(g) == best
 
 
+def test_q_witness_is_the_first_streamed_minimum():
+    for n in range(2, 8):
+        for adj, _ in seed_level(n):
+            g = Graph(n, adj)
+            if g.num_edges():
+                q = min_maximal_matching_number(g)
+                first = next(enumerate_maximal_matchings(g, size_filter=q))
+                assert minimum_maximal_matching(g) == first, g.adj
+
+
 @given(graphs(min_n=1, max_n=7))
 @settings(max_examples=100, deadline=None)
 def test_independent_set_witness(g):
@@ -359,6 +371,15 @@ def test_budget_exhaustion_carries_bounds():
     assert err.value.upper is not None
     with pytest.raises(BudgetExceeded):
         independence_number(complete_bipartite(8, 8), SolverBudget(node_limit=2))
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [maximum_matching, minimum_maximal_matching, maximum_induced_matching, maximum_independent_set],
+)
+def test_witnesses_honour_the_budget(witness):
+    with pytest.raises(BudgetExceeded):
+        witness(g_r(8), SolverBudget(node_limit=2))
 
 
 def test_budget_exceeded_survives_pickling():
