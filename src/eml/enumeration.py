@@ -12,8 +12,9 @@ tree across worker processes.  The last canonical position always holds a
 vertex of maximum degree, so children whose new vertex is not of maximum
 degree are rejected before any canonical labeling.
 
-Trees are generated separately by leaf augmentation with a rooted-code
-(sorted-subtree) key at the tree centers, which reaches order 18 cheaply.
+Trees are generated separately, as level sequences rooted at a center
+(``free_tree_parents``), which needs neither canonical labeling nor a
+seen-set and streams one order at a time.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from __future__ import annotations
 from typing import Iterator
 
 from eml.canon import key_and_order
-from eml.graphs import Graph, InputError, bits, component_masks
+from eml.graphs import Graph, InputError, component_masks
 
 MAX_ENUM_ORDER = 10
-MAX_TREE_ORDER = 18
+MAX_TREE_ORDER = 22
 # order of the level at which every scan splits the augmentation tree
 SEED_ORDER = 6
 
@@ -142,57 +143,90 @@ def enumerate_connected_graphs(n: int, max_edges: int | None = None) -> Iterator
 # ---------------------------------------------------------------------------
 
 
-def _tree_key(adj: tuple[int, ...], n: int) -> str:
-    """Rooted-at-center code: equal exactly for isomorphic trees."""
+def free_tree_parents(n: int) -> Iterator[tuple[int, ...]]:
+    """Parent arrays of one tree per isomorphism class of order n >= 1.
+
+    Wright, Richmond, Odlyzko and McKay, "Constant time generation of free
+    trees", SIAM J. Comput. 15 (1986).  Each tree is rooted at a center and
+    written as its level sequence L (preorder depths, every vertex's subtrees
+    in non-increasing order of their sequences); the sequences are walked in
+    decreasing order by the Beyer-Hedetniemi successor, and a sequence that
+    is not rooted at a center jumps past every successor sharing its first
+    subtree.  Vertices are numbered in preorder, so parent[0] == -1 and
+    parent[v] < v; the array is kept alongside L, as only a suffix changes.
+    """
     if n == 1:
-        return "()"
-    degree = [row.bit_count() for row in adj]
-    alive = n
-    removed = [False] * n
-    leaves = [v for v in range(n) if degree[v] == 1]
-    while alive > 2:
-        next_leaves = []
-        for v in leaves:
-            removed[v] = True
-            alive -= 1
-            for u in bits(adj[v]):
-                degree[u] -= 1
-                if not removed[u] and degree[u] == 1:
-                    next_leaves.append(u)
-        leaves = next_leaves
-    centers = [v for v in range(n) if not removed[v]]
+        yield (-1,)
+        return
+    # the path, rooted at its center
+    half = n // 2
+    level = list(range(half + 1)) + list(range(1, n - half))
+    parent = list(range(-1, n - 1))
+    if n > half + 1:
+        parent[half + 1] = 0
+    while True:
+        while not _rooted_at_center(level, n):
+            # successors keeping the root's first subtree only shrink the
+            # rest, so move on from that subtree's last vertex
+            p = _second_child(level, n) - 1
+            deep = level[p] > 2
+            _successor(level, parent, p, n)
+            if deep:
+                # the root now has one child: end on the path that makes
+                # the rest as high as the first subtree
+                k = max(level)
+                s = n - k
+                level[s:] = range(1, k + 1)
+                parent[s:] = range(s - 1, n - 1)
+                parent[s] = 0
+        yield tuple(parent)
+        p = n - 1
+        while level[p] == 1:
+            p -= 1
+        if p == 0:
+            return
+        _successor(level, parent, p, n)
 
-    def code(v: int, parent: int) -> str:
-        subs = sorted(code(u, v) for u in bits(adj[v]) if u != parent)
-        return "(" + "".join(subs) + ")"
 
-    return min(code(c, -1) for c in centers)
+def _second_child(level: list[int], n: int) -> int:
+    """Position of the root's second child, or n if it has only one."""
+    try:
+        return level.index(1, 2)
+    except ValueError:
+        return n
 
 
-def tree_levels(n_max: int) -> Iterator[list[tuple[int, ...]]]:
-    """Adjacency rows of one tree per isomorphism class, for each order
-    1..n_max in turn; each level is grown from the one before."""
-    level: list[tuple[int, ...]] = [(0,)]
-    yield level
-    for k in range(1, n_max):
-        grown: dict[str, tuple[int, ...]] = {}
-        for adj in level:
-            for v in range(k):
-                child = tuple(
-                    row | ((1 << k) if i == v else 0) for i, row in enumerate(adj)
-                ) + (1 << v,)
-                key = _tree_key(child, k + 1)
-                if key not in grown:
-                    grown[key] = child
-        level = list(grown.values())
-        yield level
+def _rooted_at_center(level: list[int], n: int) -> bool:
+    """Whether the root is a center of the tree, and for a bicentral tree
+    the chosen one: the root's first subtree T1 and the rest T2, each as its
+    own level sequence, compare by height, then size, then sequence."""
+    m = _second_child(level, n)
+    t1 = [d - 1 for d in level[1:m]]
+    t2 = [0] + level[m:]
+    return (max(t1), len(t1), t1) <= (max(t2), len(t2), t2)
+
+
+def _successor(level: list[int], parent: list[int], p: int, n: int) -> None:
+    """Beyer-Hedetniemi step at position p, in place: the suffix from p
+    becomes repeated copies of the block from p's parent q up to p."""
+    q = parent[p]
+    shift = p - q
+    top = level[q]
+    up = parent[q]
+    for i in range(p, n):
+        d = level[i - shift]
+        level[i] = d
+        parent[i] = up if d == top else parent[i - shift] + shift
+
+
+def tree_graph(parent: tuple[int, ...]) -> Graph:
+    """The tree with the given parent array (parent[0] == -1)."""
+    return Graph.from_edges(len(parent), [(u, v) for v, u in enumerate(parent) if v])
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of trees of order n."""
     if not 1 <= n <= MAX_TREE_ORDER:
         raise InputError(f"order {n} outside 1..{MAX_TREE_ORDER}")
-    for level in tree_levels(n):
-        pass
-    for adj in level:
-        yield Graph(n, adj)
+    for parent in free_tree_parents(n):
+        yield tree_graph(parent)

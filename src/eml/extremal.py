@@ -43,8 +43,9 @@ from eml.enumeration import (
     SEED_ORDER,
     descend,
     enumerate_trees,
+    free_tree_parents,
     seed_level,
-    tree_levels,
+    tree_graph,
 )
 from eml.families import (
     bound34,
@@ -67,6 +68,7 @@ from eml.solvers import (
     induced_matching_number,
     invariant_triple,
     min_maximal_matching_number,
+    tree_pq,
 )
 from eml.starjoin import extremal_spec, star_join
 
@@ -704,22 +706,29 @@ class TreeConjectureReport:
 
 
 def tree_conjecture_check(n_max: int) -> TreeConjectureReport:
-    """Scan every tree of order <= n_max for induced != minimum maximal."""
+    """Scan every tree of order <= n_max for induced != minimum maximal.
+
+    Each order streams through the tree generator and the tree dynamic
+    program; a counterexample is reported only once the general solvers
+    agree with the dynamic program on it.
+    """
     if not 1 <= n_max <= MAX_TREE_ORDER:
         raise InputError(f"n_max {n_max} outside 1..{MAX_TREE_ORDER}")
     per_order = []
     counterexample = None
-    for n, level in enumerate(tree_levels(n_max), 1):
-        per_order.append((n, len(level)))
-        if n == 1 or counterexample is not None:
-            continue  # order 1 has no edge; past a counterexample only counts remain
-        for adj in level:
-            g = Graph(n, adj)
-            ind = induced_matching_number(g)
-            low = min_maximal_matching_number(g)
+    for n in range(1, n_max + 1):
+        count = 0
+        for parent in free_tree_parents(n):
+            count += 1
+            if n == 1 or counterexample is not None:
+                continue  # order 1 has no edge; past a counterexample only counts remain
+            ind, low = tree_pq(parent)
             if ind != low:
+                g = tree_graph(parent)
+                if (induced_matching_number(g), min_maximal_matching_number(g)) != (ind, low):
+                    raise SolverFault(f"tree dynamic program is wrong on {canonical_form(g)}")
                 counterexample = (canonical_form(g), ind, low)
-                break
+        per_order.append((n, count))
     return TreeConjectureReport(n_max, tuple(per_order), counterexample)
 
 

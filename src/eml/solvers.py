@@ -21,7 +21,6 @@ the best bounds established so far.
 from __future__ import annotations
 
 import time
-from functools import partial
 from typing import Iterator, NamedTuple
 
 from eml.graphs import (
@@ -243,16 +242,10 @@ def _max_matching_mate(adj: tuple[int, ...], n: int, meter: _Meter | None = None
     return mate
 
 
-def _matching_size(adj: tuple[int, ...], free: int, meter: _Meter | None) -> int:
-    """Matching number of the subgraph induced on the vertex set ``free``."""
-    rows = tuple(row & free if free >> v & 1 else 0 for v, row in enumerate(adj))
-    return sum(1 for v in _max_matching_mate(rows, len(adj), meter) if v >= 0) // 2
-
-
 def matching_number(g: Graph, budget: SolverBudget | None = None) -> int:
     """Largest size of a matching of g."""
     meter = _Meter("matching number", budget, g.n // 2)
-    return _matching_size(g.adj, g.vertex_mask(), meter)
+    return sum(1 for v in _max_matching_mate(g.adj, g.n, meter) if v >= 0) // 2
 
 
 def has_perfect_matching(g: Graph) -> bool:
@@ -359,7 +352,7 @@ def _mis_size(neigh: list[int], meter: _Meter | None = None, pool: int | None = 
             meter.tick()
         if size > best:
             best = size
-            if meter is not None:
+            if meter is not None and best > (meter.lower or 0):
                 meter.lower = best
         if not pool:
             return
@@ -378,7 +371,7 @@ def _mis_size(neigh: list[int], meter: _Meter | None = None, pool: int | None = 
                 pool ^= low
                 if size > best:
                     best = size
-                    if meter is not None:
+                    if meter is not None and best > (meter.lower or 0):
                         meter.lower = best
             scan ^= low
         if not pool:
@@ -439,6 +432,64 @@ def invariant_triple(g: Graph, budget: SolverBudget | None = None) -> InvariantT
     q = min_maximal_matching_number(g, budget)
     p = induced_matching_number(g, budget)
     return checked_triple(g, p, q, r)
+
+
+# ---------------------------------------------------------------------------
+# Trees: p and q by one dynamic program over the rooted tree (Golumbic and
+# Lewenstein 2000 for induced matchings, Yannakakis and Gavril 1980 for
+# edge domination).  Each vertex has three states per invariant, summed over
+# its subtree:
+#   p: uncovered (free), matched to a child (down), matched to its parent;
+#   q: matched to a child (down), unmatched with every child matched down
+#      (idle), matched to its parent.
+# Both gains are at most 0, so a leaf child (gains 0) sets its parent's
+# p-gain to 0, caps its q-gain at 0 and makes its idle q-state infinite;
+# leaves are folded without computing their states.
+# ---------------------------------------------------------------------------
+
+
+def tree_pq(parent) -> tuple[int, int]:
+    """(induced matching number, min maximal matching number) of a tree.
+
+    ``parent[v] < v`` for every vertex v > 0 (vertex 0 is the root), so one
+    pass from the last vertex down visits every child before its parent.
+    """
+    n = len(parent)
+    none = -n - 1  # no child yet; also the down p-state of a leaf
+    inf = n + 1  # down q-state of a leaf, idle q-state above a leaf
+    p_free = [0] * n  # sum of children's best p (vertex free)
+    p_up = [0] * n  # sum of children's free p (vertex matched up)
+    p_gain = [none] * n  # max over children of (matched-up p - free p)
+    q_up = [0] * n  # sum of children's best q (vertex matched up)
+    q_idle = [0] * n  # sum of children's down q
+    q_gain = [inf] * n  # min over children of (matched-up q - best q)
+    for v in range(n - 1, 0, -1):
+        w = parent[v]
+        gain = p_gain[v]
+        if gain == none:  # v is a leaf
+            p_gain[w] = 0
+            if q_gain[w] > 0:
+                q_gain[w] = 0
+            q_idle[w] = inf
+            continue
+        free = p_free[v]
+        up = p_up[v]
+        down = up + 1 + gain
+        p_free[w] += down if down > free else free
+        p_up[w] += free
+        if up - free > p_gain[w]:
+            p_gain[w] = up - free
+        up = q_up[v]
+        down = up + 1 + q_gain[v]
+        idle = q_idle[v]
+        best = idle if idle < down else down
+        q_up[w] += best
+        q_idle[w] += down
+        if up - best < q_gain[w]:
+            q_gain[w] = up - best
+    p = max(p_free[0], p_up[0] + 1 + p_gain[0])
+    q = min(q_up[0] + 1 + q_gain[0], q_idle[0])
+    return p, q
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +564,19 @@ def satisfies_star2(g: Graph, v: int, budget: SolverBudget | None = None) -> boo
 # ---------------------------------------------------------------------------
 
 
-def _least_optimum(own: list[int], kill: list[int], pool: int, need: int, value) -> list[int]:
-    """Indices of the least items, in order, that reach the optimum ``need``.
+def _least_optimum(own: list[int], kill: list[int], pool: int, value, meter: _Meter) -> list[int]:
+    """Indices of the least items, in order, that form an optimum of ``pool``.
 
-    Item i is available while ``own[i]`` lies inside ``pool``, and taken when
-    ``1 + value(pool & ~kill[i]) == need``.  A rejected item stays in the
-    pool: no optimum left can use it, or it would have been taken.
+    ``value(pool)`` returns the optimum of the pool and a mask of the items
+    of one optimal solution of it, or 0 when the solver keeps none.  Item i
+    is available while ``own[i]`` lies inside ``pool``, and taken when it is
+    in the solution at hand or when ``1 + value(pool & ~kill[i])`` is the
+    optimum still needed; either way the rest of a solution containing it
+    stays optimal for the shrunk pool.  A rejected item stays in the pool:
+    no optimum left can use it, or it would have been taken.
     """
+    need, solution = value(pool)
+    meter.lower = meter.upper = need  # proved; the steps below only pick items
     chosen = []
     for i, mask in enumerate(own):
         if need == 0:
@@ -527,27 +584,38 @@ def _least_optimum(own: list[int], kill: list[int], pool: int, need: int, value)
         if mask & ~pool:
             continue
         shrunk = pool & ~kill[i]
-        if 1 + value(shrunk) == need:
-            chosen.append(i)
-            pool = shrunk
-            need -= 1
+        if not solution >> i & 1:
+            size, found = value(shrunk)
+            if 1 + size != need:
+                continue
+            solution = found
+        chosen.append(i)
+        pool = shrunk
+        need -= 1
     if need:
         raise SolverFault("witness reconstruction failed")
     return chosen
 
 
-def _matching_witness(g: Graph, value) -> tuple[tuple[int, int], ...]:
+def _matching_witness(g: Graph, value, meter: _Meter) -> tuple[tuple[int, int], ...]:
     # edges are the items; the pool is the set of vertices still free
     edges = g.edges()
     ends = [(1 << u) | (1 << v) for u, v in edges]
-    full = g.vertex_mask()
-    return tuple(edges[i] for i in _least_optimum(ends, ends, full, value(full), value))
+    return tuple(edges[i] for i in _least_optimum(ends, ends, g.vertex_mask(), value, meter))
 
 
 def maximum_matching(g: Graph, budget: SolverBudget | None = None) -> tuple[tuple[int, int], ...]:
     """Lexicographically least maximum matching of g."""
     meter = _Meter("matching number", budget, g.n // 2)
-    return _matching_witness(g, lambda free: _matching_size(g.adj, free, meter))
+    index = {edge: i for i, edge in enumerate(g.edges())}
+
+    def value(free: int) -> tuple[int, int]:
+        rows = tuple(row & free if free >> v & 1 else 0 for v, row in enumerate(g.adj))
+        mate = _max_matching_mate(rows, g.n, meter)
+        solution = sum(1 << index[v, w] for v, w in enumerate(mate) if w > v)
+        return solution.bit_count(), solution
+
+    return _matching_witness(g, value, meter)
 
 
 def minimum_maximal_matching(g: Graph, budget: SolverBudget | None = None) -> tuple[tuple[int, int], ...]:
@@ -558,7 +626,7 @@ def minimum_maximal_matching(g: Graph, budget: SolverBudget | None = None) -> tu
     """
     meter = _Meter("min maximal matching", budget, g.n // 2)
     memo: dict = {}
-    return _matching_witness(g, lambda free: _min_maximal_size(g.adj, free, memo, meter))
+    return _matching_witness(g, lambda free: (_min_maximal_size(g.adj, free, memo, meter), 0), meter)
 
 
 def _mis_witness(neigh: list[int], meter: _Meter) -> list[int]:
@@ -566,8 +634,7 @@ def _mis_witness(neigh: list[int], meter: _Meter) -> list[int]:
     own = [1 << v for v in range(len(neigh))]
     kill = [bit | row for bit, row in zip(own, neigh)]
     pool = (1 << len(neigh)) - 1
-    value = partial(_mis_size, neigh, meter)
-    return _least_optimum(own, kill, pool, value(pool), value)
+    return _least_optimum(own, kill, pool, lambda pool: (_mis_size(neigh, meter, pool), 0), meter)
 
 
 def maximum_induced_matching(g: Graph, budget: SolverBudget | None = None) -> tuple[tuple[int, int], ...]:

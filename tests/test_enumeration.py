@@ -4,8 +4,10 @@ import pytest
 
 from eml.canon import canonical_form
 from eml.enumeration import (
+    MAX_TREE_ORDER,
     enumerate_connected_graphs,
     enumerate_trees,
+    free_tree_parents,
     seed_level,
     descend,
 )
@@ -13,7 +15,11 @@ from eml.graphs import InputError, emit_graph6, is_connected, is_tree
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 ALL_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
+# OEIS A000055
+TREE_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235,
+    12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320,
+}
 
 
 @pytest.mark.parametrize("n", sorted(CONNECTED_COUNTS))
@@ -64,8 +70,16 @@ def test_tree_class_counts(n):
 
 
 def test_tree_stream_has_no_isomorphic_pair():
-    keys = {canonical_form(g) for g in enumerate_trees(9)}
-    assert len(keys) == 47
+    for n in range(1, 15):
+        keys = {canonical_form(g) for g in enumerate_trees(n)}
+        assert len(keys) == TREE_COUNTS[n], n
+
+
+def test_tree_parent_arrays_are_in_preorder():
+    for n in range(1, 11):
+        for parent in free_tree_parents(n):
+            assert len(parent) == n and parent[0] == -1
+            assert all(0 <= parent[v] < v for v in range(1, n)), parent
 
 
 def test_envelope_errors():
@@ -74,7 +88,7 @@ def test_envelope_errors():
     with pytest.raises(InputError):
         list(enumerate_connected_graphs(11))
     with pytest.raises(InputError):
-        list(enumerate_trees(19))
+        list(enumerate_trees(MAX_TREE_ORDER + 1))
     with pytest.raises(InputError):
         list(enumerate_trees(0))
 

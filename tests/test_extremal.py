@@ -14,10 +14,12 @@ from eml.extremal import (
     tree_conjecture_check,
     verify_theorems,
 )
+from eml.enumeration import MAX_TREE_ORDER
 from eml.graphs import Graph, InputError, is_connected, parse_graph6
 from eml.solvers import (
     BudgetExceeded,
     SolverBudget,
+    SolverFault,
     induced_matching_number,
     invariant_triple,
     min_maximal_matching_number,
@@ -229,7 +231,24 @@ def test_tree_conjecture_small():
     assert rep.total == 48
     assert rep.per_order[-1] == (8, 23)
     with pytest.raises(InputError):
-        tree_conjecture_check(19)
+        tree_conjecture_check(MAX_TREE_ORDER + 1)
+
+
+def test_tree_counterexample_needs_the_general_solvers(monkeypatch):
+    # a dynamic-program value the general solvers do not confirm is a fault
+    monkeypatch.setattr(extremal, "tree_pq", lambda parent: (1, 2))
+    with pytest.raises(SolverFault):
+        tree_conjecture_check(4)
+
+
+def test_tree_counterexample_is_reported_with_full_counts(monkeypatch):
+    real = extremal.min_maximal_matching_number
+    monkeypatch.setattr(extremal, "tree_pq", lambda parent: (1, 2) if len(parent) == 3 else (1, 1))
+    monkeypatch.setattr(extremal, "min_maximal_matching_number", lambda g: real(g) + 1)
+    rep = tree_conjecture_check(6)
+    assert rep.counterexample == ("BW", 1, 2)  # the path on three vertices
+    assert rep.per_order == ((1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6))
+    assert not rep.ok
 
 
 @pytest.mark.parametrize("n", range(2, 11))

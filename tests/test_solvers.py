@@ -6,7 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eml.enumeration import seed_level
+from eml.enumeration import free_tree_parents, seed_level, tree_graph
 from eml.families import g_r
 from eml.graphs import (
     Graph,
@@ -40,6 +40,7 @@ from eml.solvers import (
     minimum_maximal_matching,
     satisfies_star1,
     satisfies_star2,
+    tree_pq,
 )
 
 
@@ -58,6 +59,12 @@ def cycle(n):
 
 def path(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + [(i, i + 5) for i in range(5)])
 
 
 def whiskered_clique(r):
@@ -277,6 +284,28 @@ def test_star1_implies_star2(g):
             assert satisfies_star2(g, v)
 
 
+# --- trees -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_tree_dp_matches_the_general_solvers(n):
+    for parent in free_tree_parents(n):
+        g = tree_graph(parent)
+        want = (induced_matching_number(g), min_maximal_matching_number(g))
+        assert tree_pq(parent) == want, parent
+        if n <= 10:
+            assert brute_force_invariants(g)[:2] == want, parent
+
+
+@given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=19))
+@settings(max_examples=150, deadline=None)
+def test_tree_dp_on_any_parent_array(picks):
+    # any parent array with parent[v] < v, not only the generator's preorder
+    parent = (-1,) + tuple(x % v for v, x in enumerate(picks, 1))
+    g = tree_graph(parent)
+    assert tree_pq(parent) == (induced_matching_number(g), min_maximal_matching_number(g))
+
+
 # --- structure lemmas on optimal witnesses ---------------------------------------
 
 
@@ -380,6 +409,40 @@ def test_budget_exhaustion_carries_bounds():
 def test_witnesses_honour_the_budget(witness):
     with pytest.raises(BudgetExceeded):
         witness(g_r(8), SolverBudget(node_limit=2))
+
+
+def _least_node_limit(solve, g):
+    for limit in itertools.count(1):
+        try:
+            return limit, solve(g, SolverBudget(node_limit=limit))
+        except BudgetExceeded:
+            pass
+
+
+@pytest.mark.parametrize(
+    "witness, value, size",
+    [
+        (maximum_matching, matching_number, len),
+        (minimum_maximal_matching, min_maximal_matching_number, len),
+        (maximum_induced_matching, induced_matching_number, len),
+        (maximum_independent_set, independence_number, int.bit_count),
+    ],
+)
+def test_witness_out_of_budget_reports_the_solved_value(witness, value, size):
+    # a witness call starts with the value solve; once that is done, running
+    # out of budget while picking the witness reports the value as both bounds
+    g = petersen()
+    solved_at, v = _least_node_limit(value, g)
+    done_at, w = _least_node_limit(witness, g)
+    assert size(w) == v
+    for limit in range(1, done_at):
+        with pytest.raises(BudgetExceeded) as err:
+            witness(g, SolverBudget(node_limit=limit))
+        lower, upper = err.value.lower, err.value.upper
+        if limit >= solved_at:
+            assert (lower, upper) == (v, v), limit
+        else:
+            assert (lower is None or lower <= v) and v <= upper, limit
 
 
 def test_budget_exceeded_survives_pickling():
