@@ -8,6 +8,10 @@ byte-comparable across runs and worker counts; only the top-level timing
 field varies.  An optional content-addressed cache keyed by the normalized
 command plus the package version replays earlier output byte-for-byte.
 
+Each command handler returns its CSV rows (header first) and its text
+lines along with its JSON outputs, built from the same results, so each
+output shape is written once and the renderers never ask which command ran.
+
 Exit codes: 0 for success or an inconclusive-within-budget result, 1 when
 a verification claim is refuted, 2 for usage errors.
 """
@@ -85,12 +89,6 @@ from eml.starjoin import (
 SCHEMA_VERSION = 1
 FORMATS = ("json", "csv", "text")
 
-FAMILIES = (
-    "kn", "kmn", "cn", "whisker", "gr",
-    "g1", "g2", "g3", "g4", "g5",
-    "starjoin", "thm34-1", "thm34-2", "thm34-3",
-)
-
 # short aliases accepted by `verify` alongside the canonical claim ids
 CLAIM_ALIASES = {
     "notpm": "no-perfect-matching",
@@ -162,22 +160,38 @@ def _env(name: str, cast, default=None):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (inputs, outputs, provenance, exit_code)
+# command handlers: each returns (inputs, outputs, rows, lines, provenance,
+# exit_code), where outputs is the JSON payload, rows the CSV rows (header
+# first) and lines the text lines, all built from the same results
 # ---------------------------------------------------------------------------
+
+
+def _key_value(outputs: dict):
+    """CSV rows and text lines of a flat key/value record."""
+    items = sorted(outputs.items())
+    rows = [["key", "value"]] + [
+        [key, json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else value]
+        for key, value in items
+    ]
+    return rows, [f"{key}: {value}" for key, value in items]
 
 
 def _cmd_invariants(cfg: RunConfig):
     source = cfg.params["input"]
-    if source == "-":
-        lines = sys.stdin.read().splitlines()
-        origin = "<stdin>"
-    elif os.path.exists(source):
-        with open(source, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-        origin = source
-    else:
-        lines = [source]
-        origin = "<argument>"
+    try:
+        if source == "-":
+            lines = sys.stdin.read().splitlines()
+            origin = "<stdin>"
+        elif os.path.exists(source):
+            # undecodable bytes become per-line graph6 errors, as on stdin
+            with open(source, encoding="ascii", errors="surrogateescape") as fh:
+                lines = fh.read().splitlines()
+            origin = source
+        else:
+            lines = [source]
+            origin = "<argument>"
+    except OSError as exc:
+        raise InputError(f"cannot read {source}: {exc}")
     budget = cfg.solver_budget()
     results = []
     errors = []
@@ -213,89 +227,85 @@ def _cmd_invariants(cfg: RunConfig):
             errors.append({"line": lineno, "text": text, "error": str(exc)})
         except BudgetExceeded as exc:
             errors.append({"line": lineno, "text": text, "error": str(exc), "inconclusive": True})
-    return {"source": origin, "lines": len(lines)}, {"results": results, "errors": errors}, (), 0
+    rows = [["graph6", "n", "edges", "p", "q", "r", "alpha", "perfect_matching"]] + [
+        [e["graph6"], e["n"], e["edges"], *e["triple"], e["alpha"], e["perfect_matching"]]
+        for e in results
+    ]
+    text_lines = [
+        f"{e['graph6']}: triple={tuple(e['triple'])} alpha={e['alpha']}"
+        f" perfect_matching={e['perfect_matching']}"
+        for e in results
+    ] + [f"line {err['line']}: ERROR {err['error']}" for err in errors]
+    inputs = {"source": origin, "lines": len(lines)}
+    return inputs, {"results": results, "errors": errors}, rows, text_lines, (), 0
 
 
-def _require(params: dict, family: str, *names):
-    missing = [k for k in names if params.get(k) is None]
-    if missing:
-        raise InputError(f"{family} requires {', '.join('--' + m for m in missing)}")
-    return [params[k] for k in names]
-
-
-def _parse_part(text: str):
-    try:
-        g6, attach, tag = text.rsplit(":", 2)
-        return parse_graph6(g6), int(attach), tag
-    except (ValueError, Graph6ParseError) as exc:
-        raise InputError(f"part {text!r} is not GRAPH6:ATTACH:TAG ({exc})")
-
-
-def _build_family(cfg: RunConfig):
-    """Returns (graph, predicted_triple | None, formula_edges | None, extras)."""
-    p = cfg.params
-    family = p["family"]
-    if family == "kn":
-        (n,) = _require(p, family, "n")
-        return complete(n), (1, n // 2, n // 2) if n >= 2 else None, comb(n, 2), {}
-    if family == "kmn":
-        m, n = _require(p, family, "m", "n")
-        k = min(m, n)
-        return complete_bipartite(m, n), (1, k, k), m * n, {}
-    if family == "cn":
-        (n,) = _require(p, family, "n")
-        return cycle(n), (n // 3, -(-n // 3), n // 2), n, {}
-    if family == "whisker":
-        (base_text,) = _require(p, family, "base")
-        base = parse_graph6(base_text)
-        return whisker(base), None, base.num_edges() + base.n, {"base_order": base.n}
-    if family == "gr":
-        (r,) = _require(p, family, "r")
-        return g_r(r), (1, (r + 1) // 2, r), comb(r + 1, 2), {}
-    if family == "g1":
-        (q,) = _require(p, family, "q")
-        return g1(q), (q, q, q + 1), 2 * q + 1, {}
-    if family == "g2":
-        q, r = _require(p, family, "q", "r")
-        return g2(q, r), (q, q, r), 2 * r - 1, {}
-    if family == "g3":
-        (r,) = _require(p, family, "r")
-        return g3(r), (r, r, r), 2 * r, {}
-    if family == "g4":
-        (q,) = _require(p, family, "q")
-        return g4(q), (1, q, q + 1), q * q + 2, {}
-    if family == "g5":
-        q, r = _require(p, family, "q", "r")
-        return g5(q, r), (1, q, r), f1(q, r), {}
-    if family == "thm34-1":
-        pp, q = _require(p, family, "p", "q")
-        return star_join(extremal_spec_1(pp, q)), (pp, q, q), bound34_1(pp, q), {}
-    if family == "thm34-2":
-        pp, q, r = _require(p, family, "p", "q", "r")
-        return star_join(extremal_spec_2(pp, q, r)), (pp, q, r), bound34_2(pp, q, r), {}
-    if family == "thm34-3":
-        pp, q, r = _require(p, family, "p", "q", "r")
-        return star_join(extremal_spec_3(pp, q, r)), (pp, q, r), bound34_3(pp, q, r), {}
-    if family == "starjoin":
-        parts = p.get("part") or []
-        if len(parts) < 2:
-            raise InputError("starjoin requires at least two --part GRAPH6:ATTACH:TAG")
-        spec = StarJoinSpec(tuple(_parse_part(t) for t in parts))
-        g = star_join(spec)
+def _parse_parts(texts, command: str) -> StarJoinSpec:
+    if len(texts or ()) < 2:
+        raise InputError(f"{command} requires at least two --part GRAPH6:ATTACH:TAG")
+    parts = []
+    for text in texts:
         try:
-            predicted = tuple(predicted_invariants(spec))
-        except InputError:
-            predicted = None
-        return g, predicted, None, {"parts": len(parts)}
-    raise InputError(f"unknown family {family!r}")
+            g6, attach, tag = text.rsplit(":", 2)
+            parts.append((parse_graph6(g6), int(attach), tag))
+        except (ValueError, Graph6ParseError) as exc:
+            raise InputError(f"part {text!r} is not GRAPH6:ATTACH:TAG ({exc})")
+    return StarJoinSpec(tuple(parts))
+
+
+def _whisker(base_text: str):
+    base = parse_graph6(base_text)
+    return whisker(base), None, base.num_edges() + base.n, {"base_order": base.n}
+
+
+def _starjoin(texts):
+    spec = _parse_parts(texts, "starjoin")
+    g = star_join(spec)
+    try:
+        predicted = tuple(predicted_invariants(spec))
+    except InputError:
+        predicted = None
+    return g, predicted, None, {"parts": len(texts)}
+
+
+# family -> (options it needs, builder called with their values).  A builder
+# returns the graph, the predicted triple (None where no formula applies) and
+# the formula edge count (None where there is none), then optionally a dict of
+# extra output fields.
+FAMILIES = {
+    "kn": (("n",), lambda n: (complete(n), (1, n // 2, n // 2) if n >= 2 else None, comb(n, 2))),
+    "kmn": (("m", "n"), lambda m, n: (complete_bipartite(m, n), (1, min(m, n), min(m, n)), m * n)),
+    "cn": (("n",), lambda n: (cycle(n), (n // 3, -(-n // 3), n // 2), n)),
+    "whisker": (("base",), _whisker),
+    "gr": (("r",), lambda r: (g_r(r), (1, (r + 1) // 2, r), comb(r + 1, 2))),
+    "g1": (("q",), lambda q: (g1(q), (q, q, q + 1), 2 * q + 1)),
+    "g2": (("q", "r"), lambda q, r: (g2(q, r), (q, q, r), 2 * r - 1)),
+    "g3": (("r",), lambda r: (g3(r), (r, r, r), 2 * r)),
+    "g4": (("q",), lambda q: (g4(q), (1, q, q + 1), q * q + 2)),
+    "g5": (("q", "r"), lambda q, r: (g5(q, r), (1, q, r), f1(q, r))),
+    "starjoin": (("part",), _starjoin),
+    "thm34-1": (("p", "q"), lambda p, q: (
+        star_join(extremal_spec_1(p, q)), (p, q, q), bound34_1(p, q))),
+    "thm34-2": (("p", "q", "r"), lambda p, q, r: (
+        star_join(extremal_spec_2(p, q, r)), (p, q, r), bound34_2(p, q, r))),
+    "thm34-3": (("p", "q", "r"), lambda p, q, r: (
+        star_join(extremal_spec_3(p, q, r)), (p, q, r), bound34_3(p, q, r))),
+}
 
 
 def _cmd_construct(cfg: RunConfig):
-    g, predicted, formula_edges, extras = _build_family(cfg)
+    params = cfg.params
+    family = params["family"]
+    names, build = FAMILIES[family]
+    # a short part list is reported by _parse_parts
+    missing = ["--" + k for k in names if params[k] is None and k != "part"]
+    if missing:
+        raise InputError(f"{family} requires {', '.join(missing)}")
+    g, predicted, formula_edges, *extra = build(*(params[k] for k in names))
     budget = cfg.solver_budget()
     solver = tuple(invariant_triple(g, budget)) if g.num_edges() else None
     outputs = {
-        "family": cfg.params["family"],
+        "family": family,
         "graph6": emit_graph6(g),
         "canonical": canonical_form(g),
         "n": g.n,
@@ -306,9 +316,9 @@ def _cmd_construct(cfg: RunConfig):
         "formula_edges": formula_edges,
         "triple_ok": predicted is None or solver == predicted,
         "edges_ok": formula_edges is None or g.num_edges() == formula_edges,
-        **extras,
+        **dict(*extra),
     }
-    return {"params": cfg.params}, outputs, (), 0
+    return {"params": params}, outputs, *_key_value(outputs), (), 0
 
 
 def _part_report_dict(report) -> dict:
@@ -323,9 +333,7 @@ def _part_report_dict(report) -> dict:
 
 def _cmd_compose(cfg: RunConfig):
     parts = cfg.params.get("part") or []
-    if len(parts) < 2:
-        raise InputError("compose requires at least two --part GRAPH6:ATTACH:TAG")
-    spec = StarJoinSpec(tuple(_parse_part(t) for t in parts))
+    spec = _parse_parts(parts, "compose")
     budget = cfg.solver_budget()
     g = star_join(spec)
     ind_rep = check_thm_ind_hypotheses(spec)
@@ -345,7 +353,7 @@ def _cmd_compose(cfg: RunConfig):
         "solver_triple": list(solver),
         "triple_ok": predicted is None or predicted == solver,
     }
-    return {"parts": parts}, outputs, (), 0
+    return {"parts": parts}, outputs, *_key_value(outputs), (), 0
 
 
 def _cmd_search(cfg: RunConfig):
@@ -358,15 +366,28 @@ def _cmd_search(cfg: RunConfig):
         report = min_vertices(p["p"], p["q"], p["r"], n_budget=p.get("n_budget"), **kwargs)
     else:
         report = min_edges(p["p"], p["q"], p["r"], edge_budget=p.get("edge_budget"), **kwargs)
-    outputs = dataclasses.asdict(report)
-    if cfg.witnesses == 0:
-        outputs["witnesses"] = []
-    return {"triple": [p["p"], p["q"], p["r"]]}, outputs, (), 0
+    witnesses = list(report.witnesses) if cfg.witnesses else []
+    outputs = {**dataclasses.asdict(report), "witnesses": witnesses}
+    rows = [
+        ["objective", "p", "q", "r", "value", "certified", "lower_bound",
+         "upper_bound", "scanned", "searched_to", "witnesses"],
+        [report.objective, *report.target, report.value, report.certified,
+         report.lower_bound, report.upper_bound, report.scanned,
+         report.searched_to, " ".join(witnesses)],
+    ]
+    lines = [
+        f"target={report.target} {report.objective}:"
+        f" value={report.value} certified={report.certified}"
+        f" bounds=[{report.lower_bound}, {report.upper_bound}]"
+        f" scanned={report.scanned}",
+        *(f"witness {w}" for w in witnesses),
+    ]
+    return {"triple": [p["p"], p["q"], p["r"]]}, outputs, rows, lines, (), 0
 
 
 def _cmd_census(cfg: RunConfig):
     n = cfg.params["n"]
-    rows = census(n, workers=cfg.workers, budget=cfg.solver_budget())
+    result = census(n, workers=cfg.workers, budget=cfg.solver_budget())
     outputs = [
         {
             "n": row.n,
@@ -375,9 +396,17 @@ def _cmd_census(cfg: RunConfig):
             "min_edges": row.min_edges,
             "witnesses": list(row.witnesses[: cfg.witnesses]),
         }
-        for row in rows
+        for row in result
     ]
-    return {"n": n}, outputs, (), 0
+    rows = [["n", "p", "q", "r", "count", "min_edges"]] + [
+        [row.n, *row.triple, row.count, row.min_edges] for row in result
+    ]
+    lines = [
+        f"n={row.n} triple={row.triple} count={row.count}"
+        f" min_edges={row.min_edges} witnesses={','.join(row.witnesses[: cfg.witnesses])}"
+        for row in result
+    ]
+    return {"n": n}, outputs, rows, lines, (), 0
 
 
 def _cmd_trees(cfg: RunConfig):
@@ -389,7 +418,13 @@ def _cmd_trees(cfg: RunConfig):
         "counterexample": list(report.counterexample) if report.counterexample else None,
         "ok": report.ok,
     }
-    return {"n_max": cfg.params["n_max"]}, outputs, ("tree-conjecture",), 0 if report.ok else 1
+    rows = [["order", "trees"], *outputs["per_order"]]
+    lines = [f"order {order}: {count} trees, no counterexample" for order, count in report.per_order]
+    if report.counterexample:
+        g6, ind, low = report.counterexample
+        lines.append(f"COUNTEREXAMPLE {g6}: induced={ind} minimum={low}")
+    code = 0 if report.ok else 1
+    return {"n_max": cfg.params["n_max"]}, outputs, rows, lines, ("tree-conjecture",), code
 
 
 def _cmd_verify(cfg: RunConfig):
@@ -407,6 +442,8 @@ def _cmd_verify(cfg: RunConfig):
             f"unknown claims: {sorted(unknown)}; known: {list(CLAIM_IDS) + ['bounds', 'conditional']}"
         )
     outputs = {}
+    rows = [["claim", "instance", "ok", "expected", "actual", "witness"]]
+    lines = []
     provenance = []
     failed = False
     if theorem_claims or not (run_bounds or run_conditional):
@@ -421,6 +458,9 @@ def _cmd_verify(cfg: RunConfig):
         )
         outputs["claims"] = [dataclasses.asdict(c) for c in rep.claims]
         outputs["ok"] = rep.ok
+        for c in rep.claims:
+            rows.append([c.claim, c.instance, c.ok, c.expected, c.actual, c.witness])
+            lines.append(f"[{'pass' if c.ok else 'FAIL'}] {c.claim} {c.instance}: {c.actual}")
         provenance.extend(sorted({c.claim for c in rep.claims}))
         failed |= not rep.ok
     if run_bounds:
@@ -436,6 +476,10 @@ def _cmd_verify(cfg: RunConfig):
             "ok": rep.ok,
             "entries": [dataclasses.asdict(e) for e in rep.entries],
         }
+        for e in rep.entries:
+            rows.append([f"bounds/{e.family}", e.target, e.ok, f"<= {e.bound}", e.witness_edges, e.gap])
+            gap = f" gap={e.gap}" if e.gap is not None else ""
+            lines.append(f"[{'pass' if e.ok else 'FAIL'}] {e.family} {e.target} <= {e.bound}{gap}")
         provenance.append("bounds")
         failed |= not rep.ok
     if run_conditional:
@@ -454,9 +498,13 @@ def _cmd_verify(cfg: RunConfig):
                 for e in rep.entries
             ],
         }
+        for e in rep.entries:
+            rows.append(["conditional", f"p={e.p}", e.status != "refuting",
+                         e.expected, e.report.value, e.status])
+            lines.append(f"[{e.status}] p={e.p}: value={e.report.value} expected={e.expected}")
         provenance.append("conditional-least-edges")
         failed |= any(e.status == "refuting" for e in rep.entries)
-    return {"claims": requested}, outputs, tuple(provenance), 1 if failed else 0
+    return {"claims": requested}, outputs, rows, lines, tuple(provenance), 1 if failed else 0
 
 
 _HANDLERS = {
@@ -471,7 +519,7 @@ _HANDLERS = {
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# rendering: JSON from the record; CSV and text from the handler's rows and lines
 # ---------------------------------------------------------------------------
 
 
@@ -479,109 +527,14 @@ def _render_json(record: ResultRecord) -> str:
     return json.dumps(_record_dict(record), sort_keys=True, indent=2) + "\n"
 
 
-def _shape(record: ResultRecord) -> str | None:
-    """The command whose row layout the outputs have; None for key/value."""
-    out = record.outputs
-    if isinstance(out, dict) and out.get("inconclusive"):
-        return None  # a budget-exhausted record, whatever the command
-    return record.command["name"]
-
-
-def _csv_rows(record: ResultRecord):
-    name = _shape(record)
-    out = record.outputs
-    if name == "census":
-        yield ["n", "p", "q", "r", "count", "min_edges"]
-        for row in out:
-            yield [row["n"], *row["triple"], row["count"], row["min_edges"]]
-    elif name == "invariants":
-        yield ["graph6", "n", "edges", "p", "q", "r", "alpha", "perfect_matching"]
-        for row in out["results"]:
-            yield [row["graph6"], row["n"], row["edges"], *row["triple"], row["alpha"], row["perfect_matching"]]
-    elif name == "search":
-        yield ["objective", "p", "q", "r", "value", "certified", "lower_bound",
-               "upper_bound", "scanned", "searched_to", "witnesses"]
-        yield [out["objective"], *out["target"], out["value"], out["certified"],
-               out["lower_bound"], out["upper_bound"], out["scanned"],
-               out["searched_to"], " ".join(out["witnesses"])]
-    elif name == "trees":
-        yield ["order", "trees"]
-        for order, count in out["per_order"]:
-            yield [order, count]
-    elif name == "verify":
-        yield ["claim", "instance", "ok", "expected", "actual", "witness"]
-        for c in out.get("claims", ()):
-            yield [c["claim"], c["instance"], c["ok"], c["expected"], c["actual"], c["witness"]]
-        for e in out.get("bounds", {}).get("entries", ()):
-            yield [f"bounds/{e['family']}", str(tuple(e['target'])), e["ok"],
-                   f"<= {e['bound']}", e["witness_edges"], e["gap"]]
-        for e in out.get("conditional", {}).get("entries", ()):
-            yield ["conditional", f"p={e['p']}", e["status"] != "refuting",
-                   e["expected"], e["report"]["value"], e["status"]]
-    else:  # construct / compose / inconclusive: flat key,value table
-        yield ["key", "value"]
-        for key, value in sorted(out.items()):
-            yield [key, json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else value]
-
-
-def _render_csv(record: ResultRecord) -> str:
+def _render_csv(rows) -> str:
     sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
-    for row in _csv_rows(record):
-        writer.writerow(row)
+    csv.writer(sink, lineterminator="\n").writerows(rows)
     return sink.getvalue()
 
 
-def _render_text(record: ResultRecord) -> str:
-    name = _shape(record)
-    out = record.outputs
-    lines = [f"{record.command['name']} (v{__version__})"]
-    if name == "census":
-        for row in out:
-            lines.append(
-                f"  n={row['n']} triple={tuple(row['triple'])} count={row['count']}"
-                f" min_edges={row['min_edges']} witnesses={','.join(row['witnesses'])}"
-            )
-    elif name == "invariants":
-        for row in out["results"]:
-            lines.append(
-                f"  {row['graph6']}: triple={tuple(row['triple'])} alpha={row['alpha']}"
-                f" perfect_matching={row['perfect_matching']}"
-            )
-        for err in out["errors"]:
-            lines.append(f"  line {err['line']}: ERROR {err['error']}")
-    elif name == "search":
-        lines.append(
-            f"  target={tuple(out['target'])} {out['objective']}:"
-            f" value={out['value']} certified={out['certified']}"
-            f" bounds=[{out['lower_bound']}, {out['upper_bound']}]"
-            f" scanned={out['scanned']}"
-        )
-        for w in out["witnesses"]:
-            lines.append(f"  witness {w}")
-    elif name == "trees":
-        for order, count in out["per_order"]:
-            lines.append(f"  order {order}: {count} trees, no counterexample")
-        if out["counterexample"]:
-            g6, ind, low = out["counterexample"]
-            lines.append(f"  COUNTEREXAMPLE {g6}: induced={ind} minimum={low}")
-    elif name == "verify":
-        for c in out.get("claims", ()):
-            mark = "pass" if c["ok"] else "FAIL"
-            lines.append(f"  [{mark}] {c['claim']} {c['instance']}: {c['actual']}")
-        for e in out.get("bounds", {}).get("entries", ()):
-            mark = "pass" if e["ok"] else "FAIL"
-            gap = f" gap={e['gap']}" if e["gap"] is not None else ""
-            lines.append(f"  [{mark}] {e['family']} {tuple(e['target'])} <= {e['bound']}{gap}")
-        for e in out.get("conditional", {}).get("entries", ()):
-            lines.append(f"  [{e['status']}] p={e['p']}: value={e['report']['value']} expected={e['expected']}")
-    else:
-        for key, value in sorted(out.items()):
-            lines.append(f"  {key}: {value}")
-    return "\n".join(lines) + "\n"
-
-
-_RENDERERS = {"json": _render_json, "csv": _render_csv, "text": _render_text}
+def _render_text(command: str, lines) -> str:
+    return "\n".join([f"{command} (v{__version__})", *("  " + line for line in lines)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -618,14 +571,17 @@ def cache_get(cfg: RunConfig) -> tuple[str, int] | None:
 def cache_put(cfg: RunConfig, payload: str, exit_code: int) -> None:
     if not cfg.cache:
         return
-    os.makedirs(cfg.cache, exist_ok=True)
     digest, material = _cache_key(cfg)
     path = os.path.join(cfg.cache, digest + ".json")
     entry = {"key_material": material, "payload": payload, "exit_code": exit_code}
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(entry, fh)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(cfg.cache, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh)
+        os.replace(tmp, path)
+    except OSError as exc:  # the result is still printed; only the replay is lost
+        print(f"warning: cannot write cache entry {path}: {exc}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -738,13 +694,14 @@ def main(argv=None) -> int:
         return code
     started = time.perf_counter()
     try:
-        inputs, outputs, provenance, code = _HANDLERS[cfg.command](cfg)
+        inputs, outputs, rows, lines, provenance, code = _HANDLERS[cfg.command](cfg)
     except (InputError, CapacityError, Graph6ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
         inputs = {"params": cfg.params}
         outputs = {"inconclusive": True, "reason": str(exc)}
+        rows, lines = _key_value(outputs)
         provenance, code = (), 0
     record = ResultRecord(
         schema_version=SCHEMA_VERSION,
@@ -754,7 +711,12 @@ def main(argv=None) -> int:
         provenance=tuple(provenance),
         timing=round(time.perf_counter() - started, 6),
     )
-    payload = _RENDERERS[cfg.fmt](record)
+    if cfg.fmt == "csv":
+        payload = _render_csv(rows)
+    elif cfg.fmt == "text":
+        payload = _render_text(cfg.command, lines)
+    else:
+        payload = _render_json(record)
     cache_put(cfg, payload, code)
     sys.stdout.write(payload)
     return code

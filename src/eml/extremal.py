@@ -122,7 +122,7 @@ def _scan(
     if len(tasks) <= 1:
         parts = [_lane(task) for task in tasks]
     else:
-        with get_context("fork").Pool(processes=workers) as pool:
+        with get_context("fork").Pool(processes=min(workers, len(tasks))) as pool:
             parts = pool.map(_lane, tasks, chunksize=1)
     total = acc()
     scanned = 0

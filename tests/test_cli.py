@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line front end."""
 
+import csv
+import io
 import json
 import os
 import signal
@@ -10,7 +12,7 @@ import pytest
 
 import eml
 from eml import __version__, extremal
-from eml.cli import main
+from eml.cli import FORMATS, main
 from eml.graphs import parse_graph6
 from eml.solvers import invariant_triple
 
@@ -53,6 +55,24 @@ def test_invariants_file_with_bad_line(tmp_path, capsys):
     (err,) = rec["outputs"]["errors"]
     assert err["line"] == 2
     assert "optimal" not in rec["outputs"]["results"][0]
+
+
+def test_invariants_non_ascii_byte_is_a_line_error(tmp_path, capsys):
+    batch = tmp_path / "batch.g6"
+    batch.write_bytes(b"C~\n\xff\nD~{\n")
+    code, rec, _ = run_json(capsys, "invariants", str(batch), "--witnesses", "0")
+    assert code == 0
+    assert [r["n"] for r in rec["outputs"]["results"]] == [4, 5]
+    (err,) = rec["outputs"]["errors"]
+    assert err["line"] == 2
+    assert "outside graph6 alphabet" in err["error"]
+
+
+def test_invariants_unreadable_input_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "invariants", str(tmp_path))  # a directory
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_invariants_empty_file(tmp_path, capsys):
@@ -105,6 +125,11 @@ def test_construct_missing_params(capsys):
         (("construct", "gr", "--r", "4"), [1, 2, 4]),
         (("construct", "g3", "--r", "3"), [3, 3, 3]),
         (("construct", "g4", "--q", "2"), [1, 2, 3]),
+        (("construct", "g2", "--q", "2", "--r", "4"), [2, 2, 4]),
+        (("construct", "g5", "--q", "4", "--r", "6"), [1, 4, 6]),
+        (("construct", "thm34-2", "--p", "2", "--q", "3", "--r", "4"), [2, 3, 4]),
+        (("construct", "thm34-3", "--p", "2", "--q", "3", "--r", "6"), [2, 3, 6]),
+        (("construct", "starjoin", "--part", "A_:0:a", "--part", "A_:0:a"), [2, 2, 2]),
     ],
 )
 def test_construct_predictions_match_solver(capsys, argv, triple):
@@ -216,6 +241,48 @@ def test_inconclusive_record_renders_as_key_value(capsys, monkeypatch, argv, lin
     assert code == 0
     assert line in out.splitlines()
     assert "budget exhausted" in out
+
+
+BOUNDS_ARGV = (
+    "verify", "bounds", "--p-max", "2", "--q-max", "3", "--bounds-r-max", "4", "--certify-cap", "8",
+)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "argv,header",
+    [
+        (("invariants", "C~"), "graph6,n,edges,p,q,r,alpha,perfect_matching"),
+        (("construct", "kn", "--n", "4"), "key,value"),
+        (("compose", "--part", "A_:0:a", "--part", "A_:0:a"), "key,value"),
+        (("search", "minv", "1", "1", "1"),
+         "objective,p,q,r,value,certified,lower_bound,upper_bound,scanned,searched_to,witnesses"),
+        (("census", "4"), "n,p,q,r,count,min_edges"),
+        (("trees", "6"), "order,trees"),
+        (("verify", "notpm", "--nmax", "5"), "claim,instance,ok,expected,actual,witness"),
+        (BOUNDS_ARGV, "claim,instance,ok,expected,actual,witness"),
+    ],
+)
+def test_every_command_renders_in_every_format(capsys, argv, header, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 0, err
+    if fmt == "json":
+        assert json.loads(out)["command"]["name"] == argv[0]
+    elif fmt == "csv":
+        assert out.splitlines()[0] == header
+    else:
+        assert out.splitlines()[0] == f"{argv[0]} (v{__version__})"
+
+
+def test_verify_bounds_renders_one_row_per_entry(capsys):
+    _, rec, _ = run_json(capsys, *BOUNDS_ARGV)
+    families = [f"bounds/{e['family']}" for e in rec["outputs"]["bounds"]["entries"]]
+    code, out, _ = run(capsys, *BOUNDS_ARGV, "--format", "csv")
+    assert code == 0
+    assert [row[0] for row in csv.reader(io.StringIO(out))][1:] == families
+    code, out, _ = run(capsys, *BOUNDS_ARGV, "--format", "text")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + len(families)
 
 
 def test_search_witnesses_zero_strips_list(capsys):
@@ -331,6 +398,15 @@ def test_cache_corrupt_entry_discarded(tmp_path, capsys):
     assert code == 0
     assert "corrupt cache entry" in err
     assert json.loads(out2)["outputs"] == json.loads(out1)["outputs"]
+
+
+def test_cache_unwritable_still_prints_result(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "census", "4", "--cache", str(blocker / "cache"))
+    assert code == 0
+    assert len(json.loads(out)["outputs"]) == 3
+    assert "warning: cannot write cache entry" in err
 
 
 def test_cache_version_bump_misses(tmp_path, capsys, monkeypatch):

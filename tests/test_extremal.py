@@ -1,6 +1,7 @@
 """Search-layer tests: census rows, certified minima, and the batch checks."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -93,6 +94,30 @@ def test_census_parallel_merge_matches_serial():
     parallel, parallel_scanned = extremal._census_full(6, 2)
     assert serial == parallel
     assert serial_scanned == parallel_scanned
+
+
+def test_pool_starts_no_more_processes_than_lanes(monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks, chunksize=1):
+            return [func(task) for task in tasks]
+
+    monkeypatch.setattr(extremal, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+    monkeypatch.setattr(extremal, "_census_cache", {})
+    rows = census(4, workers=8)  # seeded from the 4 graphs of order 3: 4 lanes
+    assert started == [4]
+    extremal._census_cache.clear()
+    assert census(4, workers=1) == rows
 
 
 def test_census_memo_is_keyed_by_budget():
