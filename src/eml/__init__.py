@@ -86,15 +86,15 @@ from eml.extremal import (
     BoundsReport,
     CensusRow,
     ClaimResult,
-    ConditionalReport,
     SearchReport,
+    TreeClosure,
     TreeConjectureReport,
     VerificationReport,
     census,
     check_upper_bounds,
-    conditional_theorem42_check,
     min_edges,
     min_vertices,
+    tree_closure,
     tree_conjecture_check,
     verify_theorems,
 )

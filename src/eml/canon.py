@@ -17,7 +17,7 @@ although any graph within the 64-vertex cap is accepted.
 
 from __future__ import annotations
 
-from eml.graphs import Graph, bits, emit_graph6
+from eml.graphs import Graph, bits, pack_graph6
 
 
 def _refine(adj: tuple[int, ...], cells: list[list[int]], queue: list[int]) -> None:
@@ -168,4 +168,4 @@ def canonical_graph(g: Graph) -> Graph:
 
 def canonical_form(g: Graph) -> str:
     """Label-invariant key: equal for two graphs exactly when isomorphic."""
-    return emit_graph6(canonical_graph(g))
+    return pack_graph6(g.n, key_and_order(g.adj, g.n)[0])

@@ -36,9 +36,9 @@ from eml.extremal import (
     CLAIM_IDS,
     census,
     check_upper_bounds,
-    conditional_theorem42_check,
     min_edges,
     min_vertices,
+    tree_closure,
     tree_conjecture_check,
     verify_theorems,
 )
@@ -188,10 +188,13 @@ def _cmd_invariants(cfg: RunConfig):
                 lines = fh.read().splitlines()
             origin = source
         else:
+            parse_graph6(source)  # a literal argument must itself be graph6
             lines = [source]
             origin = "<argument>"
     except OSError as exc:
         raise InputError(f"cannot read {source}: {exc}")
+    except Graph6ParseError as exc:
+        raise InputError(f"cannot read {source}: no such file, and not graph6 ({exc})")
     budget = cfg.solver_budget()
     results = []
     errors = []
@@ -411,42 +414,40 @@ def _cmd_census(cfg: RunConfig):
 
 def _cmd_trees(cfg: RunConfig):
     report = tree_conjecture_check(cfg.params["n_max"])
+    closure = tree_closure()
     outputs = {
         "n_max": report.n_max,
         "total": report.total,
         "per_order": [list(pair) for pair in report.per_order],
         "counterexample": list(report.counterexample) if report.counterexample else None,
         "ok": report.ok,
+        "closure": dataclasses.asdict(closure),
     }
     rows = [["order", "trees"], *outputs["per_order"]]
     lines = [f"order {order}: {count} trees, no counterexample" for order, count in report.per_order]
     if report.counterexample:
         g6, ind, low = report.counterexample
         lines.append(f"COUNTEREXAMPLE {g6}: induced={ind} minimum={low}")
-    code = 0 if report.ok else 1
+    lines.append(f"closure: {closure.states} states, {len(closure.types)} types, ok={closure.ok}")
+    code = 0 if report.ok and closure.ok else 1
     return {"n_max": cfg.params["n_max"]}, outputs, rows, lines, ("tree-conjecture",), code
 
 
 def _cmd_verify(cfg: RunConfig):
     p = cfg.params
     requested = p.get("claims") or []
-    canon_claims = []
-    for name in requested:
-        canon_claims.append(CLAIM_ALIASES.get(name, name))
+    canon_claims = [CLAIM_ALIASES.get(name, name) for name in requested]
     run_bounds = "bounds" in canon_claims
-    run_conditional = "conditional" in canon_claims
-    theorem_claims = [c for c in canon_claims if c not in ("bounds", "conditional")]
+    theorem_claims = [c for c in canon_claims if c != "bounds"]
     unknown = set(theorem_claims) - set(CLAIM_IDS)
     if unknown:
-        raise InputError(
-            f"unknown claims: {sorted(unknown)}; known: {list(CLAIM_IDS) + ['bounds', 'conditional']}"
-        )
+        raise InputError(f"unknown claims: {sorted(unknown)}; known: {list(CLAIM_IDS) + ['bounds']}")
     outputs = {}
     rows = [["claim", "instance", "ok", "expected", "actual", "witness"]]
     lines = []
     provenance = []
     failed = False
-    if theorem_claims or not (run_bounds or run_conditional):
+    if theorem_claims or not run_bounds:
         selection = theorem_claims or None
         rep = verify_theorems(
             select=selection,
@@ -474,7 +475,7 @@ def _cmd_verify(cfg: RunConfig):
         )
         outputs["bounds"] = {
             "ok": rep.ok,
-            "entries": [dataclasses.asdict(e) for e in rep.entries],
+            "entries": [{**dataclasses.asdict(e), "ok": e.ok} for e in rep.entries],
         }
         for e in rep.entries:
             rows.append([f"bounds/{e.family}", e.target, e.ok, f"<= {e.bound}", e.witness_edges, e.gap])
@@ -482,28 +483,6 @@ def _cmd_verify(cfg: RunConfig):
             lines.append(f"[{'pass' if e.ok else 'FAIL'}] {e.family} {e.target} <= {e.bound}{gap}")
         provenance.append("bounds")
         failed |= not rep.ok
-    if run_conditional:
-        rep = conditional_theorem42_check(
-            p["p_max_conditional"], workers=cfg.workers, budget=cfg.solver_budget()
-        )
-        outputs["conditional"] = {
-            "ok": rep.ok,
-            "entries": [
-                {
-                    "p": e.p,
-                    "expected": e.expected,
-                    "status": e.status,
-                    "report": dataclasses.asdict(e.report),
-                }
-                for e in rep.entries
-            ],
-        }
-        for e in rep.entries:
-            rows.append(["conditional", f"p={e.p}", e.status != "refuting",
-                         e.expected, e.report.value, e.status])
-            lines.append(f"[{e.status}] p={e.p}: value={e.report.value} expected={e.expected}")
-        provenance.append("conditional-least-edges")
-        failed |= any(e.status == "refuting" for e in rep.entries)
     return {"claims": requested}, outputs, rows, lines, tuple(provenance), 1 if failed else 0
 
 
@@ -641,7 +620,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", parents=[common],
                            help="machine-check claims (default: all closed-form claims)")
     p_ver.add_argument("claims", nargs="*",
-                       help=f"claim ids from {', '.join(CLAIM_IDS)}; or bounds / conditional")
+                       help=f"claim ids from {', '.join(CLAIM_IDS)}; or bounds")
     p_ver.add_argument("--r-max", type=int, default=4)
     p_ver.add_argument("--order-cap", "--nmax", type=int, default=8, dest="order_cap")
     p_ver.add_argument("--gr-max", type=int, default=12)
@@ -649,10 +628,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--q-max", type=int, default=7)
     p_ver.add_argument("--bounds-r-max", type=int, default=8)
     p_ver.add_argument("--certify-cap", type=int, default=11)
-    p_ver.add_argument("--p-max-conditional", type=int, default=3)
 
     p_tre = sub.add_parser("trees", parents=[common],
-                           help="scan all trees up to an order for induced != minimum")
+                           help="prove induced == minimum on every tree; scan all trees up to an order")
     p_tre.add_argument("n_max", type=int, help=f"max order (<= {MAX_TREE_ORDER})")
 
     return parser

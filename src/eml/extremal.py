@@ -20,9 +20,8 @@ Least-edge-count searches fold the (edges, key) pairs that hit the target
 triple over edge-capped scans, taking orders from the elementary floor 2r
 upward (a graph whose matching number is r has at least 2r vertices) and
 stopping once every remaining order would need more edges than the
-incumbent.  Orders beyond the general envelope are reachable only when the
-cap equals order-1, in which case the admissible graphs are exactly trees
-and the tree enumerator takes over.  Proven edge floors and construction
+incumbent, where a triple with p < q needs as many edges as vertices (no
+tree has p < q: see ``tree_closure``).  Proven edge floors and construction
 witnesses close most searches without any enumeration at all; searches the
 envelope cannot certify come back flagged, never silently truncated.
 """
@@ -42,7 +41,6 @@ from eml.enumeration import (
     MAX_TREE_ORDER,
     SEED_ORDER,
     descend,
-    enumerate_trees,
     free_tree_parents,
     seed_level,
     tree_graph,
@@ -83,6 +81,11 @@ def _validate_triple(p: int, q: int, r: int) -> None:
 def _witness_strings(n: int, keys: Iterable[int]) -> tuple[str, ...]:
     # a canonical key is the graph6 upper-triangle bit vector of its class
     return tuple(pack_graph6(n, key) for key in keys)
+
+
+def _least(keys: Iterable[int], more: Iterable[int], limit: int) -> list[int]:
+    """The limit least distinct keys of keys and more, in order."""
+    return sorted(set(keys).union(more))[:limit]
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +162,8 @@ def _aggregate(agg: _Agg, triple: tuple[int, int, int], edges: int, key: int) ->
     row[0] += 1
     if edges < row[1]:
         row[1] = edges
-    keys = row[2]
-    if len(keys) < _ROW_WITNESSES or key < keys[-1]:
-        keys.append(key)
-        keys.sort()
-        del keys[_ROW_WITNESSES:]
+    if len(row[2]) < _ROW_WITNESSES or key < row[2][-1]:
+        row[2] = _least(row[2], (key,), _ROW_WITNESSES)
 
 
 def _merge(into: _Agg, other: _Agg) -> None:
@@ -174,7 +174,7 @@ def _merge(into: _Agg, other: _Agg) -> None:
             continue
         mine[0] += row[0]
         mine[1] = min(mine[1], row[1])
-        mine[2] = sorted(set(mine[2]) | set(row[2]))[:_ROW_WITNESSES]
+        mine[2] = _least(mine[2], row[2], _ROW_WITNESSES)
 
 
 def _census_visit(budget, agg: _Agg, n: int, adj, edges: int, key: int) -> None:
@@ -272,10 +272,11 @@ def min_vertices(
 
 
 def _edge_floor(p: int, q: int, r: int) -> int:
-    # connected with matching number r forces >= 2r vertices, so >= 2r-1 edges;
-    # p >= 2 with q == r forces >= 2r+1 vertices (no such graph attains 2r);
+    # matching number r forces >= 2r vertices, and >= 2r+1 when p >= 2 and
+    # q == r (no such graph attains 2r); edges >= vertices - 1, and >= vertices
+    # when p < q, as p = q on every tree (tree_closure);
     # p == 1 makes the r matching edges pairwise joined: r + C(r,2) edges.
-    floor = 2 * r if p >= 2 and q == r else 2 * r - 1
+    floor = 2 * r + (p >= 2 and q == r) - (p == q)
     if p == 1:
         floor = max(floor, comb(r + 1, 2))
     return floor
@@ -320,10 +321,7 @@ class _EdgeHits:
             self.n = n
             return
         if edges == self.edges and (len(self.keys) < self.limit or key < self.keys[-1]):
-            self.keys = sorted(set(self.keys) | {key})[: self.limit]
-
-    def offer_graph(self, g: Graph) -> None:
-        self.offer_key(g.n, g.num_edges(), key_and_order(g.adj, g.n)[0])
+            self.keys = _least(self.keys, (key,), self.limit)
 
 
 def _hit_visit(triple, budget, found: list, n: int, adj, edges: int, key: int) -> None:
@@ -359,7 +357,8 @@ def min_edges(
     if witness_graph is not None and witness_graph.num_edges() <= edge_budget:
         if invariant_triple(witness_graph, budget) != (p, q, r):
             raise SolverFault(f"construction for {(p, q, r)} has the wrong triple")
-        hits.offer_graph(witness_graph)
+        hits.offer_key(witness_graph.n, witness_graph.num_edges(),
+                       key_and_order(witness_graph.adj, witness_graph.n)[0])
     if hits.edges is not None and hits.edges < floor:
         raise SolverFault(f"construction for {(p, q, r)} beats the proven floor")
     scanned = 0
@@ -368,7 +367,7 @@ def min_edges(
     n = max(2, 2 * r)
     while hits.edges != floor:  # a floor-meeting witness is already optimal
         cap = edge_budget if hits.edges is None else min(edge_budget, hits.edges - 1)
-        if n - 1 > cap:
+        if cap < floor or n - (p == q) > cap:  # p < q needs >= n edges at order n
             break
         if n <= MAX_ENUM_ORDER:
             found, order_scanned = _scan(
@@ -377,11 +376,6 @@ def min_edges(
             scanned += order_scanned
             for edges, key in sorted(found):
                 hits.offer_key(n, edges, key)
-        elif cap == n - 1 and n <= MAX_TREE_ORDER:
-            for g in enumerate_trees(n):
-                scanned += 1
-                if invariant_triple(g, budget) == (p, q, r):
-                    hits.offer_graph(g)
         else:
             certified = False  # orders beyond the envelope could still matter
             break
@@ -531,8 +525,7 @@ def verify_theorems(
         for rr in range(1, r_max + 1):
             instances.append(((rr, rr, rr), 1 if rr == 1 else 2 * rr))
         for qq in range(1, r_max):
-            if qq + 1 <= 2 * qq:
-                instances.append(((qq, qq, qq + 1), 2 * qq + 1))
+            instances.append(((qq, qq, qq + 1), 2 * qq + 1))
         for qq in range(2, r_max + 1):
             for rr in range(qq + 2, min(2 * qq, r_max) + 1):
                 instances.append(((qq, qq, rr), 2 * rr - 1))
@@ -541,6 +534,8 @@ def verify_theorems(
                 instances.append(((1, qq, 2 * qq), comb(2 * qq + 1, 2)))
             if qq >= 2 and 2 * qq - 1 <= r_max:
                 instances.append(((1, qq, 2 * qq - 1), comb(2 * qq, 2)))
+        for pp in range(2, r_max):
+            instances.append(((pp, pp + 1, pp + 1), 2 * pp + 3))
         seen_instances = set()
         for triple, want in instances:
             if triple in seen_instances:
@@ -732,44 +727,71 @@ def tree_conjecture_check(n_max: int) -> TreeConjectureReport:
     return TreeConjectureReport(n_max, tuple(per_order), counterexample)
 
 
-@dataclass(frozen=True)
-class ConditionalCheck:
-    p: int
-    expected: int  # 2p + 3, the value forced if the tree question holds
-    report: SearchReport
-    status: str  # "consistent" | "refuting" | "inconclusive"
+# ---------------------------------------------------------------------------
+# the tree question, settled: tree_pq's recurrence over finitely many types
+# ---------------------------------------------------------------------------
+
+# A rooted tree reaches its parent in tree_pq only through its type
+# (B_p, B_q, F - B_p, U - F, D - B_q, U - B_q) of best, free, matched-up p and
+# best, matched-down, matched-up q.  A vertex folds its children so far into
+# a partial state (S_p, S_q, dU, gain_p, dI, gain_q): tree_pq's p_free, q_up,
+# p_up - p_free, p_gain, q_idle - q_up, q_gain.  A childless vertex cannot be
+# matched down: gain_p = -1 puts down at up <= free, and gain_q = 1 puts down
+# 2 above idle, which D - B_q reads as never best.
+_LONE = (0, 0, 0, -1, 0, 1)
+
+
+def _attach(state: tuple, kind: tuple) -> tuple:
+    """The partial state after one more child of the given type."""
+    sp, sq, du, gp, di, gq = state
+    bp, bq, fb, uf, db, ub = kind
+    # dU <= -1 gives down = S_p + dU + 1 + gain_p <= free, as gain_p <= 0, so
+    # B_p = free and U - F = -1 however low dU goes: clamp dU at -1.  gain_p
+    # <= -1 likewise gives down <= up <= free, so U - F loses nothing at -1.
+    # dI >= 1 gives idle >= S_q + 1 >= down (gain_q <= 0 once a child is in),
+    # so B_q = down however high dI goes: clamp dI, and D - B_q, at 1.
+    # S_q <= B_q <= S_q + 1 keeps U - B_q in {0, -1} with no clamp.
+    return (sp + bp, sq + bq, max(du + fb, -1), max(gp, uf), min(di + db, 1), min(gq, ub))
+
+
+def _finish(state: tuple) -> tuple:
+    """The type of the rooted tree whose root has this partial state."""
+    sp, sq, du, gp, di, gq = state
+    bp = max(sp, sp + du + 1 + gp)
+    down = sq + 1 + gq
+    bq = min(sq + di, down)
+    return (bp, bq, sp - bp, du, min(down - bq, 1), sq - bq)
 
 
 @dataclass(frozen=True)
-class ConditionalReport:
-    entries: tuple[ConditionalCheck, ...]
-    elapsed: float
-
-    @property
-    def ok(self) -> bool:
-        return all(e.status == "consistent" for e in self.entries)
+class TreeClosure:
+    ok: bool  # every type has B_p = B_q, so p = q on every (rooted) tree
+    states: int  # partial states in the fixpoint
+    types: tuple  # (type, smallest witness parent array) pairs
 
 
-def conditional_theorem42_check(
-    p_max: int = 3, workers: int | None = None, budget: SolverBudget | None = None
-) -> ConditionalReport:
-    """Certify min-edges at (p, p+1, p+1) against the conditional value 2p+3.
+def tree_closure() -> TreeClosure:
+    """Close "attach one more child" over partial states to a fixpoint.
 
-    A certified value below 2p+3 would resolve the tree question negatively;
-    equality is consistent with it.  p_max is capped at 4 by search cost.
+    Shifting a child's B_p and B_q by one constant shifts its parent's alike,
+    so states and types are kept with S_q = B_q = 0.  States settle smallest
+    witness first, so each type carries a smallest tree of its type; a type
+    with B_p != B_q stops the closure at a smallest tree with p != q.
     """
-    if not 2 <= p_max <= 4:
-        raise InputError("p_max must be 2..4 (search feasibility)")
-    started = time.perf_counter()
-    entries = []
-    for p in range(2, p_max + 1):
-        rep = min_edges(p, p + 1, p + 1, workers=workers, budget=budget)
-        expected = 2 * p + 3
-        if not rep.certified or rep.value is None:
-            status = "inconclusive"
-        elif rep.value == expected:
-            status = "consistent"
-        else:
-            status = "refuting"
-        entries.append(ConditionalCheck(p, expected, rep, status))
-    return ConditionalReport(tuple(entries), time.perf_counter() - started)
+    states, types, pending = {}, {}, {_LONE: (-1,)}  # each with its smallest witness
+    while pending:
+        state = min(pending, key=lambda s: len(pending[s]))
+        tree = states[state] = pending.pop(state)
+        bp, bq, *rest = _finish(state)
+        kind = (bp - bq, 0, *rest)
+        types.setdefault(kind, tree)
+        if kind[0]:
+            break
+        for s, w in states.items():
+            for k, kw in types.items():
+                grown = _attach(s, k)
+                if grown not in states:
+                    bigger = w + (0,) + tuple(x + len(w) for x in kw[1:])
+                    pending[grown] = min(pending.get(grown, bigger), bigger, key=len)
+    ok = all(kind[0] == 0 for kind in types)
+    return TreeClosure(ok, len(states), tuple(types.items()))

@@ -75,6 +75,13 @@ def test_invariants_unreadable_input_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def test_invariants_missing_file_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "invariants", str(tmp_path / "nosuchfile.g6"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {tmp_path / 'nosuchfile.g6'}")
+
+
 def test_invariants_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.g6"
     empty.write_text("")
@@ -285,6 +292,13 @@ def test_verify_bounds_renders_one_row_per_entry(capsys):
     assert len(out.splitlines()) == 1 + len(families)
 
 
+def test_verify_bounds_json_verdict_matches_csv(capsys):
+    _, rec, _ = run_json(capsys, *BOUNDS_ARGV)
+    verdicts = [str(e["ok"]) for e in rec["outputs"]["bounds"]["entries"]]
+    _, out, _ = run(capsys, *BOUNDS_ARGV, "--format", "csv")
+    assert [row[2] for row in csv.reader(io.StringIO(out))][1:] == verdicts
+
+
 def test_search_witnesses_zero_strips_list(capsys):
     code, rec, _ = run_json(capsys, "search", "minv", "1", "1", "1", "--witnesses", "0")
     assert code == 0
@@ -314,6 +328,8 @@ def test_trees_scan_passes(capsys):
     out = rec["outputs"]
     assert code == 0
     assert out["total"] == 48 and out["ok"] and out["counterexample"] is None
+    assert out["closure"]["ok"] and out["closure"]["states"] == 5
+    assert [tree for _, tree in out["closure"]["types"]] == [[-1], [-1, 0], [-1, 0, 1]]
     assert rec["provenance"] == ["tree-conjecture"]
 
 
@@ -343,11 +359,10 @@ def test_verify_bounds_scope(capsys):
     assert rec["outputs"]["bounds"]["ok"]
 
 
-def test_verify_conditional_scope(capsys):
-    code, rec, _ = run_json(capsys, "verify", "conditional", "--p-max-conditional", "2")
-    assert code == 0
-    (entry,) = rec["outputs"]["conditional"]["entries"]
-    assert entry["status"] == "consistent" and entry["report"]["value"] == 7
+def test_verify_conditional_is_gone(capsys):
+    code, _, err = run(capsys, "verify", "conditional")
+    assert code == 2
+    assert "unknown claims: ['conditional']" in err
 
 
 def test_verify_unknown_claim(capsys):

@@ -1,6 +1,7 @@
 """Search-layer tests: census rows, certified minima, and the batch checks."""
 
 import dataclasses
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -9,13 +10,13 @@ import eml.extremal as extremal
 from eml.extremal import (
     census,
     check_upper_bounds,
-    conditional_theorem42_check,
     min_edges,
     min_vertices,
+    tree_closure,
     tree_conjecture_check,
     verify_theorems,
 )
-from eml.enumeration import MAX_TREE_ORDER
+from eml.enumeration import MAX_TREE_ORDER, free_tree_parents, tree_graph
 from eml.graphs import Graph, InputError, is_connected, parse_graph6
 from eml.solvers import (
     BudgetExceeded,
@@ -24,6 +25,7 @@ from eml.solvers import (
     induced_matching_number,
     invariant_triple,
     min_maximal_matching_number,
+    tree_pq,
 )
 
 
@@ -191,8 +193,30 @@ def test_min_edges_spec_example_large():
 
 def test_min_edges_budget_below_floor_certifies_absence():
     rep = min_edges(3, 3, 3, edge_budget=5)
-    assert rep.value is None and rep.certified
+    assert rep.value is None and rep.certified and rep.scanned == 0
     assert rep.witnesses == ()
+
+
+def test_edge_floor_without_trees():
+    # p < q rules out trees: >= 2r edges, and >= 2r+1 once p >= 2 and q == r;
+    # the p >= 2 guard matters, since the 4-cycle is (1, 2, 2) with 4 edges
+    assert extremal._edge_floor(2, 3, 4) == 8
+    assert extremal._edge_floor(2, 3, 3) == 7
+    assert extremal._edge_floor(1, 2, 2) == 4 == min_edges(1, 2, 2).value
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_min_edges_hub_join_diagonal_meets_the_floor(p):
+    # no tree has p < q, so (p, p+1, p+1) needs 2p+3 edges: the hub join's count
+    rep = min_edges(p, p + 1, p + 1)
+    assert rep.value == 2 * p + 3 and rep.certified and rep.scanned == 0
+
+
+def test_min_edges_p_below_q_skips_the_tree_order():
+    rep = min_edges(1, 3, 4)
+    assert rep.value == 11 and rep.certified
+    assert rep.witnesses == ("G?Krc[",)
+    assert rep.searched_to == 10  # order 11 would need 11 edges, no tree being (1, 3, 4)
 
 
 def test_min_edges_parallel_scan_matches_serial():
@@ -291,13 +315,42 @@ def test_stars_agree_with_conjecture(m):
     assert min_maximal_matching_number(star) == 1
 
 
-def test_conditional_check_smallest_case():
-    rep = conditional_theorem42_check(2)
-    assert rep.ok
-    entry = rep.entries[0]
-    assert entry.p == 2 and entry.expected == 7
-    assert entry.status == "consistent" and entry.report.value == 7
-    with pytest.raises(InputError):
-        conditional_theorem42_check(1)
-    with pytest.raises(InputError):
-        conditional_theorem42_check(5)
+def test_tree_closure_settles_the_tree_question():
+    closure = tree_closure()
+    assert closure.ok and closure.states == 5
+    assert [kind[0] for kind, _ in closure.types] == [0, 0, 0]  # B_p - B_q
+    # one vertex, one edge, and a path of three rooted at an end
+    assert [tree for _, tree in closure.types] == [(-1,), (-1, 0), (-1, 0, 1)]
+
+
+def tree_type(parent):
+    """Fold the closure's clamped recurrence over a parent array, keeping
+    absolute B_p and B_q: the root's type, which starts with (p, q)."""
+    states = [extremal._LONE] * len(parent)
+    for v in range(len(parent) - 1, 0, -1):
+        states[parent[v]] = extremal._attach(states[parent[v]], extremal._finish(states[v]))
+    return extremal._finish(states[0])
+
+
+def test_tree_closure_witnesses_fold_to_their_types():
+    for kind, tree in tree_closure().types:
+        bp, bq, *rest = tree_type(tree)
+        assert (bp - bq, 0, *rest) == kind
+
+
+def test_tree_type_matches_tree_pq():
+    for n in range(2, 17):
+        for parent in free_tree_parents(n):
+            assert tree_type(parent)[:2] == tree_pq(parent), parent
+    rng = random.Random(2024)
+    for _ in range(20000):
+        parent = [-1] + [rng.randrange(v) for v in range(1, rng.randint(2, 40))]
+        assert tree_type(parent)[:2] == tree_pq(parent), parent
+
+
+def test_tree_type_matches_the_general_solvers():
+    for n in range(2, 15):
+        for parent in free_tree_parents(n):
+            g = tree_graph(parent)
+            want = (induced_matching_number(g), min_maximal_matching_number(g))
+            assert tree_type(parent)[:2] == want, parent
