@@ -12,13 +12,28 @@ order; every fold and merge here is independent of order, so results are
 identical for any worker count.  An exception raised in a lane, such as
 an exhausted solver budget, reaches the caller as it would at one worker.
 
+No class is solved from scratch.  Canonical augmentation hands over the
+children of one parent together, each being the parent plus a new last
+vertex, and each of p, q and r of a child is the parent's value or that
+value + 1.  So ``_classes`` solves each parent once (through
+``invariant_triple``; an edgeless parent is (0, 0, 0)), summarises it with
+``solvers.augmentation_parent``, and decides every child with
+``solvers.augmented_triple``: r rises iff the new vertex sees a vertex some
+maximum matching misses, q stays iff a minimum maximal matching covers the
+new vertex's neighbourhood or matching it to a neighbour s costs nothing
+more (q(P - s) = q(P) - 1), and p rises iff some neighbour s leaves an
+induced matching of size p(P) clear of the neighbourhoods of the new
+vertex and s.  Every solve and decision runs under the request's budget,
+and every child's triple is chain-checked.
+
 The census folds every connected graph of a given order into per-triple
 aggregates (class count, least edge count, and the lexicographically least
 canonical graph6 witnesses), memoized per order and budget.
 
 Least-edge-count searches fold the (edges, key) pairs that hit the target
-triple over edge-capped scans, taking orders from the elementary floor 2r
-upward (a graph whose matching number is r has at least 2r vertices) and
+triple over edge-capped scans, taking orders from the least order upward
+(a graph whose matching number is r has at least 2r vertices, and at
+least 2r + 1 when also p >= 2 and q = r: least-order-formula) and
 stopping once every remaining order would need more edges than the
 incumbent, where a triple with p < q needs as many edges as vertices (no
 tree has p < q: see ``tree_closure``).  Proven edge floors and construction
@@ -63,6 +78,9 @@ from eml.graphs import Graph, InputError, pack_graph6
 from eml.solvers import (
     SolverBudget,
     SolverFault,
+    augmentation_parent,
+    augmented_triple,
+    checked_triple,
     induced_matching_number,
     invariant_triple,
     min_maximal_matching_number,
@@ -93,13 +111,33 @@ def _least(keys: Iterable[int], more: Iterable[int], limit: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _classes(seeds: list, k: int, n: int, cap: int | None, budget: SolverBudget | None):
+    """(adj, key, triple) of every connected order-n descendant of the seeds.
+
+    Each class arrives right after the other children of its parent, the
+    class minus its last vertex, so a one-entry cache solves each parent
+    once and every child's triple is decided from the parent's summary.
+    """
+    low = (1 << (n - 1)) - 1
+    rows = parent = None
+    for adj, key in descend(seeds, k, n, cap, True):
+        parent_rows = tuple(row & low for row in adj[:-1])
+        if parent_rows != rows:
+            rows = parent_rows
+            g = Graph(n - 1, rows)
+            triple = invariant_triple(g, budget) if g.num_edges() else (0, 0, 0)
+            parent = augmentation_parent(g, triple, budget)
+        p, q, r = checked_triple(Graph(n, adj), *augmented_triple(parent, adj[-1], budget))
+        yield adj, key, (p, q, r)
+
+
 def _lane(task) -> tuple[object, int]:
     """Fold visit over every connected order-n descendant of one lane's seeds."""
-    seeds, k, n, cap, visit, acc = task
+    seeds, k, n, cap, visit, budget, acc = task
     scanned = 0
-    for adj, key in descend(seeds, k, n, cap, True):
+    for adj, key, triple in _classes(seeds, k, n, cap, budget):
         scanned += 1
-        visit(acc, n, adj, sum(row.bit_count() for row in adj) // 2, key)
+        visit(acc, triple, sum(row.bit_count() for row in adj) // 2, key)
     return acc, scanned
 
 
@@ -110,8 +148,9 @@ def _scan(
     acc: Callable[[], object],
     merge: Callable,
     workers: int | None,
+    budget: SolverBudget | None,
 ) -> tuple[object, int]:
-    """Fold visit(acc, n, adj, edges, key) over the connected order-n classes
+    """Fold visit(acc, triple, edges, key) over the connected order-n classes
     with at most cap edges, one fresh acc() per lane, then merge(total, part)
     the lanes in order; returns the merged accumulator and the graphs scanned.
     """
@@ -119,7 +158,7 @@ def _scan(
     seeds = seed_level(k, cap)
     lanes = 1 if not workers or workers <= 1 else 4 * workers
     tasks = [
-        (seeds[lane::lanes], k, n, cap, visit, acc())
+        (seeds[lane::lanes], k, n, cap, visit, budget, acc())
         for lane in range(min(lanes, max(len(seeds), 1)))
     ]
     if len(tasks) <= 1:
@@ -177,10 +216,6 @@ def _merge(into: _Agg, other: _Agg) -> None:
         mine[2] = _least(mine[2], row[2], _ROW_WITNESSES)
 
 
-def _census_visit(budget, agg: _Agg, n: int, adj, edges: int, key: int) -> None:
-    _aggregate(agg, tuple(invariant_triple(Graph(n, adj), budget)), edges, key)
-
-
 def census(
     n: int, workers: int | None = None, budget: SolverBudget | None = None
 ) -> list[CensusRow]:
@@ -199,7 +234,7 @@ def _census_full(
         return cached
     if n == 1:
         return (), 1  # the one-vertex graph has no edge, hence no triple
-    agg, scanned = _scan(n, None, partial(_census_visit, budget), dict, _merge, workers)
+    agg, scanned = _scan(n, None, _aggregate, dict, _merge, workers, budget)
     rows = tuple(
         CensusRow(n, triple, row[0], row[1], _witness_strings(n, row[2]))
         for triple, row in sorted(agg.items())
@@ -324,8 +359,8 @@ class _EdgeHits:
             self.keys = _least(self.keys, (key,), self.limit)
 
 
-def _hit_visit(triple, budget, found: list, n: int, adj, edges: int, key: int) -> None:
-    if invariant_triple(Graph(n, adj), budget) == triple:
+def _hit_visit(target, found: list, triple, edges: int, key: int) -> None:
+    if triple == target:
         found.append((edges, key))
 
 
@@ -364,14 +399,14 @@ def min_edges(
     scanned = 0
     searched_to = None
     certified = True
-    n = max(2, 2 * r)
+    n = max(2, 2 * r + (p >= 2 and q == r))  # least order (least-order-formula)
     while hits.edges != floor:  # a floor-meeting witness is already optimal
         cap = edge_budget if hits.edges is None else min(edge_budget, hits.edges - 1)
         if cap < floor or n - (p == q) > cap:  # p < q needs >= n edges at order n
             break
         if n <= MAX_ENUM_ORDER:
             found, order_scanned = _scan(
-                n, cap, partial(_hit_visit, (p, q, r), budget), list, list.extend, workers
+                n, cap, partial(_hit_visit, (p, q, r)), list, list.extend, workers, budget
             )
             scanned += order_scanned
             for edges, key in sorted(found):

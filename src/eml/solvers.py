@@ -21,6 +21,7 @@ the best bounds established so far.
 from __future__ import annotations
 
 import time
+from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from eml.graphs import (
@@ -432,6 +433,110 @@ def invariant_triple(g: Graph, budget: SolverBudget | None = None) -> InvariantT
     q = min_maximal_matching_number(g, budget)
     p = induced_matching_number(g, budget)
     return checked_triple(g, p, q, r)
+
+
+# ---------------------------------------------------------------------------
+# One vertex more.  Each of p, q and r of a graph G is its value on G - v or
+# that value + 1, for any vertex v, so the triple of a child G = P + v of
+# canonical augmentation is three yes/no questions about the parent P and
+# the new vertex's neighbourhood S.  The parent is solved and summarised
+# once; every child is then decided from the summary.
+# ---------------------------------------------------------------------------
+
+
+def _union(masks) -> int:
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
+
+
+class AugmentationParent(NamedTuple):
+    """What deciding a child P + v needs to know about the parent P."""
+
+    triple: tuple[int, int, int]  # (p, q, r) of P; (0, 0, 0) when P is edgeless
+    dmask: int  # vertices some maximum matching misses: r(P - s) = r(P)
+    drop: int  # vertices s with q(P - s) = q(P) - 1
+    covers: tuple[int, ...]  # vertex sets of the minimum maximal matchings
+    conflicts: list[int]  # edge-conflict rows of P, as in _edge_conflicts
+    edges: int  # mask of all of P's edges
+    incident: tuple[int, ...]  # per vertex, the mask of P's edges at it
+    near: tuple[int, ...]  # per vertex s, the mask of P's edges meeting N(s)
+
+
+def augmentation_parent(
+    g: Graph, triple: tuple[int, int, int], budget: SolverBudget | None = None
+) -> AugmentationParent:
+    """Summary of a parent g whose (p, q, r) is already known."""
+    _, q, r = triple
+    n, adj = g.n, g.adj
+    full = g.vertex_mask()
+    meter = _Meter("matching number", budget, n // 2)
+    mate = _max_matching_mate(adj, n, meter)
+    dmask = 0
+    for s in range(n):
+        if mate[s] >= 0:
+            rows = tuple(0 if v == s else row & ~(1 << s) for v, row in enumerate(adj))
+            if sum(w >= 0 for w in _max_matching_mate(rows, n, meter)) < 2 * r:
+                continue
+        dmask |= 1 << s
+    meter = _Meter("min maximal matching", budget, n // 2)
+    memo: dict = {}
+    drop = 0
+    for s in range(n):
+        if 1 + _min_maximal_size(adj, full ^ (1 << s), memo, meter) == q:
+            drop |= 1 << s
+    # C covers a maximal matching of size q iff every edge meets C (the
+    # uncovered vertices are independent) and C has a perfect matching
+    covers = []
+    for chosen in combinations(range(n), 2 * q):
+        cover = sum(1 << v for v in chosen)
+        if any(adj[v] & ~cover for v in bits(full & ~cover)):
+            continue
+        rows = tuple(row & cover if cover >> v & 1 else 0 for v, row in enumerate(adj))
+        if sum(w >= 0 for w in _max_matching_mate(rows, n, meter)) == 2 * q:
+            covers.append(cover)
+    edge_list, conflicts = _edge_conflicts(g)
+    incident = [0] * n
+    for i, (u, v) in enumerate(edge_list):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    near = tuple(_union(incident[x] for x in bits(row)) for row in adj)
+    return AugmentationParent(
+        tuple(triple), dmask, drop, tuple(covers), conflicts,
+        (1 << len(edge_list)) - 1, tuple(incident), near,
+    )
+
+
+def augmented_triple(
+    parent: AugmentationParent, s_mask: int, budget: SolverBudget | None = None
+) -> tuple[int, int, int]:
+    """(p, q, r) of the parent plus a vertex v joined to the vertex set S,
+    given as the mask s_mask."""
+    p, q, r = parent.triple
+    # r rises iff an augmenting path starts at v, that is iff some maximum
+    # matching of P misses a neighbour of v.
+    r += bool(s_mask & parent.dmask)
+    # q(P) <= q(G): a minimum maximal matching M of G not covering v is
+    # maximal in P; if M matches v to s, drop vs and add one edge s-x where
+    # x is uncovered (the uncovered vertices are independent), which gives a
+    # maximal matching of P no larger than M.  q(G) <= q(P) + 1: add one
+    # edge at v to a minimum maximal matching of P, if v is still free.
+    # So q(G) = q(P) iff a minimum maximal matching of P covers S (v stays
+    # free), or some s in S has q(P - s) = q(P) - 1 (v is matched to s).
+    if not s_mask & parent.drop and all(s_mask & ~cover for cover in parent.covers):
+        q += 1
+    # p rises iff some edge vs extends an induced matching of size p(P)
+    # inside P - S - N(s); the conflicts of that induced subgraph are P's
+    # restricted to its edges, as an edge meeting two of them lies inside it.
+    live = parent.edges & ~_union(parent.incident[s] for s in bits(s_mask))
+    meter = _Meter("induced matching number", budget, p + 1)
+    meter.lower = p
+    for s in bits(s_mask):
+        pool = live & ~parent.near[s]
+        if pool.bit_count() >= p and _mis_size(parent.conflicts, meter, pool) >= p:
+            return p + 1, q, r
+    return p, q, r
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from eml.extremal import (
     tree_conjecture_check,
     verify_theorems,
 )
-from eml.enumeration import MAX_TREE_ORDER, free_tree_parents, tree_graph
+from eml.canon import key_and_order
+from eml.enumeration import MAX_TREE_ORDER, SEED_ORDER, free_tree_parents, seed_level, tree_graph
 from eml.graphs import Graph, InputError, is_connected, parse_graph6
 from eml.solvers import (
     BudgetExceeded,
@@ -34,6 +35,7 @@ def test_census_order_two():
     assert len(rows) == 1
     row = rows[0]
     assert row.triple == (1, 1, 1) and row.count == 1 and row.min_edges == 1
+    assert type(row.triple) is tuple  # text output prints it as (p, q, r)
 
 
 def test_census_order_one_has_no_rows():
@@ -128,6 +130,22 @@ def test_census_memo_is_keyed_by_budget():
         census(6, budget=SolverBudget(node_limit=3))
 
 
+def test_incremental_triples_match_the_solvers_to_order_8():
+    classes = 0
+    parents = set()
+    for n in range(2, 9):
+        k = min(n - 1, SEED_ORDER)
+        for adj, _, triple in extremal._classes(seed_level(k), k, n, None, None):
+            classes += 1
+            assert triple == invariant_triple(Graph(n, adj)), (n, adj)
+            if n == 8:
+                parents.add(key_and_order(tuple(row & 0x7F for row in adj[:7]), 7)[0])
+    assert classes == 12112  # A001349, orders 2..8
+    # every order-7 class is a parent, the edgeless and disconnected ones too
+    assert len(parents) == len(seed_level(7)) == 1044
+    assert 0 in parents
+
+
 @pytest.mark.parametrize(
     "triple,want",
     [((1, 2, 2), 4), ((2, 2, 2), 5), ((2, 2, 3), 6), ((1, 1, 1), 2), ((1, 3, 3), 6)],
@@ -217,6 +235,15 @@ def test_min_edges_p_below_q_skips_the_tree_order():
     assert rep.value == 11 and rep.certified
     assert rep.witnesses == ("G?Krc[",)
     assert rep.searched_to == 10  # order 11 would need 11 edges, no tree being (1, 3, 4)
+
+
+def test_min_edges_p_ge_2_and_q_eq_r_starts_above_order_2r():
+    # no such graph has order 2r, so the scan starts at order 2r + 1
+    rep = min_edges(2, 4, 4)
+    assert rep.value == 10 and rep.certified
+    assert rep.witnesses == ("HIa?@cM",)
+    assert rep.searched_to == 9
+    assert rep.scanned == 287  # the order-9 classes with at most 9 edges only
 
 
 def test_min_edges_parallel_scan_matches_serial():

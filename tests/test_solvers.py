@@ -4,7 +4,7 @@ import itertools
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eml.enumeration import free_tree_parents, seed_level, tree_graph
 from eml.families import g_r
@@ -26,6 +26,8 @@ from eml.solvers import (
     BudgetExceeded,
     InvariantTriple,
     SolverBudget,
+    augmentation_parent,
+    augmented_triple,
     brute_force_invariants,
     enumerate_maximal_matchings,
     has_perfect_matching,
@@ -388,6 +390,61 @@ def test_independent_set_witness(g):
     mask = maximum_independent_set(g)
     assert is_independent(g, mask)
     assert mask.bit_count() == independence_number(g)
+
+
+# --- one vertex more ------------------------------------------------------------
+
+
+def _triple(g):
+    """(p, q, r) of any graph, edgeless ones included."""
+    return (induced_matching_number(g), min_maximal_matching_number(g), matching_number(g))
+
+
+@given(graphs(min_n=2, max_n=9), st.integers(min_value=0))
+@settings(max_examples=200, deadline=None)
+def test_deleting_a_vertex_lowers_each_invariant_by_at_most_one(g, v):
+    v %= g.n
+    whole = _triple(g)
+    rest = _triple(induced_subgraph(g, g.vertex_mask() ^ (1 << v)))
+    assert all(a - b in (0, 1) for a, b in zip(whole, rest)), (g.adj, v)
+
+
+@given(graphs(min_n=1, max_n=10, p_num=2, p_den=5))
+@settings(max_examples=300, deadline=None)
+def test_child_rules_agree_with_the_oracle(g):
+    # the last vertex is the new one; the parent may be disconnected or edgeless
+    assume(1 <= g.num_edges() <= 24)
+    k = g.n - 1
+    parent = Graph(k, [row & ((1 << k) - 1) for row in g.adj[:k]])
+    triple = brute_force_invariants(parent) if parent.num_edges() else (0, 0, 0)
+    summary = augmentation_parent(parent, triple)
+    assert augmented_triple(summary, g.adj[k]) == brute_force_invariants(g), g.adj
+
+
+def test_child_rules_on_an_edgeless_parent():
+    summary = augmentation_parent(Graph(3, [0] * 3), (0, 0, 0))
+    assert summary.covers == (0,) and summary.drop == 0 and summary.dmask == 0b111
+    assert augmented_triple(summary, 0b111) == (1, 1, 1)  # the star K_{1,3}
+    assert augmented_triple(summary, 0) == (0, 0, 0)
+
+
+def test_child_decision_honours_the_budget():
+    # P is the path 0-3-1 beside vertex 2; joining v to 2 leaves p(P) to be
+    # found among the two conflicting edges of the path, which needs a branch
+    parent = Graph.from_edges(4, [(0, 3), (1, 3)])
+    summary = augmentation_parent(parent, invariant_triple(parent))
+    assert augmented_triple(summary, 0b0100) == (2, 2, 2)
+    with pytest.raises(BudgetExceeded) as err:
+        augmented_triple(summary, 0b0100, SolverBudget(node_limit=1))
+    assert (err.value.what, err.value.lower, err.value.upper) == ("induced matching number", 1, 2)
+    # a child whose p needs no search is decided within any budget
+    assert augmented_triple(summary, 0b1000, SolverBudget(node_limit=1)) == (1, 1, 1)
+
+
+def test_parent_summary_honours_the_budget():
+    g = whiskered_clique(4)
+    with pytest.raises(BudgetExceeded):
+        augmentation_parent(g, invariant_triple(g), SolverBudget(node_limit=3))
 
 
 # --- budgets ---------------------------------------------------------------------
