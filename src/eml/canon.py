@@ -8,7 +8,10 @@ chosen, so two graphs receive the same key exactly when they are
 isomorphic, and the key doubles as the lexicographically least graph6
 string over those orders.  Discovered automorphisms prune equivalent
 branches, which keeps highly symmetric graphs (empty, complete,
-complete bipartite) from exploding the search.
+complete bipartite) from exploding the search; they generate the whole
+automorphism group, and ``automorphism_generators`` returns them.  Every
+canonical order ends in the last cell of the root equitable partition,
+which ``in_last_cell`` tests without labeling.
 
 Worst-case cost is exponential, as for any exact isomorphism method; the
 intended envelope is the package's search range (n <= 10, trees larger),
@@ -16,6 +19,8 @@ although any graph within the 64-vertex cap is accepted.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from eml.graphs import Graph, bits, pack_graph6
 
@@ -41,6 +46,18 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]], queue: list[int]) -> N
                         queue.append(mask)
                     i += len(parts) - 1
             i += 1
+
+
+@lru_cache(maxsize=1)
+def _root_cells(adj: tuple[int, ...], n: int) -> list[list[int]]:
+    """The root equitable partition; callers must not modify it.
+
+    The last graph's is kept: the enumerator labels a child right after
+    testing it with ``in_last_cell``.
+    """
+    cells = [list(range(n))]
+    _refine(adj, cells, [(1 << n) - 1])
+    return cells
 
 
 def _leading_bits(adj: tuple[int, ...], cells: list[list[int]]) -> tuple[int, int]:
@@ -73,9 +90,7 @@ class _Search:
         self.gens: list[list[int]] = []
 
     def run(self) -> tuple[int, list[int]]:
-        cells = [list(range(self.n))]
-        _refine(self.adj, cells, [(1 << self.n) - 1])
-        self.descend(cells, [])
+        self.descend(_root_cells(self.adj, self.n), [])
         assert self.best_order is not None
         return self.best_enc, self.best_order
 
@@ -144,6 +159,32 @@ def key_and_order(adj: tuple[int, ...], n: int) -> tuple[int, list[int]]:
     if n <= 1:
         return 0, list(range(n))
     return _Search(adj, n).run()
+
+
+def automorphism_generators(adj: tuple[int, ...], n: int) -> list[list[int]]:
+    """Generators of the automorphism group, each a map vertex -> image.
+
+    These are the automorphisms the canonical search records when a leaf
+    ties the incumbent.  A branch is pruned only when its prefix exceeds
+    the incumbent's or when a recorded automorphism fixing the path maps it
+    onto a tried branch, so every minimum leaf is the image of a visited
+    one under the recorded maps; as the minimum leaves form one regular
+    orbit of the group, the recorded maps generate all of it.
+    """
+    if n <= 1:
+        return []
+    search = _Search(adj, n)
+    search.run()
+    return search.gens
+
+
+def in_last_cell(adj: tuple[int, ...], n: int, v: int) -> bool:
+    """Whether v lies in the last cell of the root equitable partition.
+
+    Refinement and individualization keep each cell's slot, so every
+    canonical order (``key_and_order``) ends with a vertex of that cell.
+    """
+    return v in _root_cells(adj, n)[-1]
 
 
 def canonical_order(g: Graph) -> list[int]:

@@ -8,9 +8,16 @@ exactly when deleting the vertex at the last canonical position
 reproduces the parent's canonical key.  Each isomorphism class then
 appears once, under exactly one parent, without any global seen-set --
 which is also what lets the extremal searches split the level-by-level
-tree across worker processes.  The last canonical position always holds a
-vertex of maximum degree, so children whose new vertex is not of maximum
-degree are rejected before any canonical labeling.
+tree across worker processes.
+
+Only children that could be kept are labeled (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26 (1998)).  The last canonical
+position always holds a vertex of the last cell of the root equitable
+partition, a cell of maximum-degree vertices, so a child whose new vertex
+is not of maximum degree, or not in that cell, is rejected first; the
+class is then reached from the subset that puts the new vertex there.  A
+subset that one of the parent's automorphism generators maps to a smaller
+subset gives an isomorphic child found earlier and is skipped too.
 
 Trees are generated separately, as level sequences rooted at a center
 (``free_tree_parents``), which needs neither canonical labeling nor a
@@ -21,8 +28,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from eml.canon import key_and_order
-from eml.graphs import Graph, InputError, component_masks
+from eml.canon import automorphism_generators, in_last_cell, key_and_order
+from eml.graphs import Graph, InputError, bits, component_masks
 
 MAX_ENUM_ORDER = 10
 MAX_TREE_ORDER = 22
@@ -39,6 +46,14 @@ def _delete_last_candidate(adj: tuple[int, ...], d: int) -> tuple[int, ...]:
     )
 
 
+def _image(g: list[int], s: int) -> int:
+    """The vertex mask s mapped through the permutation g."""
+    t = 0
+    for v in bits(s):
+        t |= 1 << g[v]
+    return t
+
+
 def _children(
     parent: AdjKey, max_edges: int | None, require_covering: bool
 ) -> Iterator[AdjKey]:
@@ -52,13 +67,21 @@ def _children(
         return
     if require_covering and budget is not None and len(comps) > budget:
         return
-    # The canonical deletion vertex lies in the last cell of the refined
-    # partition, hence has maximum degree, and an accepted child loses
-    # exactly |s| edges with it: a child whose maximum degree exceeds |s|
-    # is rejected, as is every child isomorphic to it, so it is skipped
-    # before labeling (the seen set only ever dedups isomorphic children).
+    # Exact filters reject a child before it is labeled.
+    # - The canonical deletion vertex lies in the last cell of the child's
+    #   root equitable partition, a cell of maximum-degree vertices, so a
+    #   child whose new vertex k lies outside it is rejected: if its class is
+    #   accepted at all, the subset that puts k in the deletion vertex's
+    #   place yields it.  As an accepted child loses exactly |s| edges with
+    #   k, the cheap first step rejects a child of maximum degree above |s|.
+    # - The parent's automorphisms carry a child onto an isomorphic one that
+    #   fixes k, and every filter here is invariant under them.  Subsets are
+    #   walked in increasing order and one that some generator maps lower is
+    #   skipped, so each orbit's least member is still labeled.  The seen
+    #   set dedups whatever the generators miss.
     top = max((row.bit_count() for row in adj), default=0)
     top_mask = sum(1 << v for v, row in enumerate(adj) if row.bit_count() == top)
+    gens = automorphism_generators(adj, k)
     seen: set[int] = set()
     for s in range(1 if require_covering else 0, 1 << k):
         size = s.bit_count()
@@ -68,9 +91,13 @@ def _children(
             continue
         if require_covering and any(not s & c for c in comps):
             continue
+        if any(_image(g, s) < s for g in gens):
+            continue
         child = tuple(
             row | ((s >> v & 1) << k) for v, row in enumerate(adj)
         ) + (s,)
+        if not in_last_cell(child, k + 1, k):
+            continue
         key, order = key_and_order(child, k + 1)
         if key in seen:
             continue

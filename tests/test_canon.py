@@ -5,8 +5,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eml.canon import canonical_form, canonical_graph, canonical_order, key_and_order
+from eml.canon import (
+    automorphism_generators,
+    canonical_form,
+    canonical_graph,
+    canonical_order,
+    key_and_order,
+)
 from eml.families import complete, complete_bipartite, cycle
+from eml.enumeration import seed_level
 from eml.graphs import Graph, pack_graph6, parse_graph6
 
 
@@ -83,6 +90,69 @@ def test_symmetric_graphs_are_fast_and_stable():
     key = canonical_form(petersen)
     assert canonical_form(permuted(petersen, [7, 2, 9, 0, 4, 1, 8, 3, 6, 5])) == key
     assert canonical_form(complete(9)) == canonical_form(permuted(complete(9), list(reversed(range(9)))))
+
+
+def _group_order(n, gens):
+    """Size of the permutation group the generators span, by closure."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            gh = tuple(h[g[v]] for v in range(n))
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return len(group)
+
+
+def _preserves_adjacency(adj, perm):
+    n = len(adj)
+    return sorted(perm) == list(range(n)) and all(
+        (adj[u] >> v & 1) == (adj[perm[u]] >> perm[v] & 1)
+        for u in range(n)
+        for v in range(n)
+    )
+
+
+def test_automorphism_generators_span_the_whole_group():
+    # every class of order 2..6 (207 of them), against a brute-force count
+    classes = 0
+    for n in range(2, 7):
+        for adj, _ in seed_level(n):
+            gens = automorphism_generators(adj, n)
+            assert all(_preserves_adjacency(adj, g) for g in gens)
+            brute = sum(
+                _preserves_adjacency(adj, perm)
+                for perm in itertools.permutations(range(n))
+            )
+            assert _group_order(n, gens) == brute, (n, adj)
+            classes += 1
+    assert classes == 207
+
+
+@pytest.mark.parametrize(
+    "g,order",
+    [
+        (Graph(7, [0] * 7), 5040),
+        (complete_bipartite(4, 4), 1152),
+        (cycle(9), 18),
+        (
+            Graph.from_edges(
+                10,
+                [(i, (i + 1) % 5) for i in range(5)]
+                + [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+                + [(i, i + 5) for i in range(5)],
+            ),
+            120,
+        ),
+    ],
+)
+def test_automorphism_generators_of_symmetric_graphs(g, order):
+    gens = automorphism_generators(g.adj, g.n)
+    assert all(_preserves_adjacency(g.adj, h) for h in gens)
+    assert _group_order(g.n, gens) == order
 
 
 def test_canonical_graph_is_idempotent_and_unlabeled():
