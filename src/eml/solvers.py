@@ -256,9 +256,13 @@ def has_perfect_matching(g: Graph) -> bool:
 
 # ---------------------------------------------------------------------------
 # Minimum maximal matching: memoized recursion on the set of still-free
-# vertices.  Any maximal matching must cover an endpoint of the first
-# remaining edge, which gives the complete branch set; disjoint components
-# of the free part are solved independently and summed.
+# vertices.  Disjoint components of the free part are solved independently
+# and summed, so ``_min_maximal_component`` only sees connected sets of at
+# least 2 vertices.  For any edge uv of the component, every maximal matching
+# covers u or v (else uv could be added), so the edges at u together with
+# the edges at v are a complete branch set.  The edge is chosen to keep that
+# set small: u of least degree in the component, then v of least degree
+# among u's neighbours, lowest index on ties.
 # ---------------------------------------------------------------------------
 
 
@@ -266,18 +270,21 @@ def _min_maximal_size(adj: tuple[int, ...], free: int, memo: dict, meter: _Meter
     total = 0
     remaining = free
     while remaining:
-        # inline BFS rather than graphs.component_masks: this is the hottest loop of q
+        # inline BFS and bit loops rather than graphs.component_masks and
+        # bits(): this and _min_maximal_component are the hottest loops of q
         seed = remaining & -remaining
         comp = seed
         frontier = seed
         while frontier:
             grow = 0
-            for v in bits(frontier):
-                grow |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = grow & remaining & ~comp
             comp |= frontier
         remaining &= ~comp
-        if comp != (comp & -comp):  # singletons need no edges
+        if comp != seed:  # singletons need no edges
             total += _min_maximal_component(adj, comp, memo, meter)
     return total
 
@@ -288,26 +295,36 @@ def _min_maximal_component(adj: tuple[int, ...], free: int, memo: dict, meter: _
         return cached
     if meter is not None:
         meter.tick()
-    # lexicographically first edge (u, v) inside the free set
-    u = -1
-    for x in bits(free):
-        if adj[x] & free:
-            u = x
-            break
-    if u < 0:
-        memo[free] = 0
-        return 0
+    best = free.bit_count()  # exceeds every degree and every maximal matching
+    u, du = -1, best
+    scan = free
+    while scan:
+        low = scan & -scan
+        x = low.bit_length() - 1
+        d = (adj[x] & free).bit_count()
+        if d < du:
+            u, du = x, d
+            if d == 1:  # the component is connected, so no degree is lower
+                break
+        scan ^= low
     un = adj[u] & free
-    v = (un & -un).bit_length() - 1
-    best = free.bit_count()  # any maximal matching is smaller than this
-    for w in bits(un):
-        sub = 1 + _min_maximal_size(adj, free ^ (1 << u) ^ (1 << w), memo, meter)
-        if sub < best:
-            best = sub
-    for w in bits(adj[v] & free & ~(1 << u)):
-        sub = 1 + _min_maximal_size(adj, free ^ (1 << v) ^ (1 << w), memo, meter)
-        if sub < best:
-            best = sub
+    v, dv = -1, best
+    scan = un
+    while scan:
+        low = scan & -scan
+        x = low.bit_length() - 1
+        d = (adj[x] & free).bit_count()
+        if d < dv:
+            v, dv = x, d
+        scan ^= low
+    for end, scan in ((u, un), (v, adj[v] & free & ~(1 << u))):
+        rest = free ^ (1 << end)
+        while scan:
+            low = scan & -scan
+            sub = 1 + _min_maximal_size(adj, rest ^ low, memo, meter)
+            if sub < best:
+                best = sub
+            scan ^= low
     memo[free] = best
     return best
 
@@ -337,14 +354,16 @@ def _mis_size(neigh: list[int], meter: _Meter | None = None, pool: int | None = 
     def clique_cover_bound(pool: int) -> int:
         # greedy partition of the pool into cliques; each contributes <= 1
         cliques: list[int] = []
-        for v in bits(pool):
-            row = neigh[v]
+        while pool:
+            low = pool & -pool
+            row = neigh[low.bit_length() - 1]
             for i, c in enumerate(cliques):
                 if c & ~row == 0:
-                    cliques[i] = c | (1 << v)
+                    cliques[i] = c | low
                     break
             else:
-                cliques.append(1 << v)
+                cliques.append(low)
+            pool ^= low
         return len(cliques)
 
     def expand(pool: int, size: int) -> None:
@@ -378,10 +397,14 @@ def _mis_size(neigh: list[int], meter: _Meter | None = None, pool: int | None = 
         if not pool:
             return
         v_best, deg_best = -1, -1
-        for v in bits(pool):
+        scan = pool
+        while scan:
+            low = scan & -scan
+            v = low.bit_length() - 1
             d = (neigh[v] & pool).bit_count()
             if d > deg_best:
                 v_best, deg_best = v, d
+            scan ^= low
         v = v_best
         expand(pool & ~neigh[v] & ~(1 << v), size + 1)
         expand(pool & ~(1 << v), size)

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -88,6 +89,29 @@ def all_labeled_graphs(n, connected_only=True, need_edge=True):
 
 
 @st.composite
+def sparse_connected_graphs(draw, min_n=8, max_n=16, max_edges=24):
+    """A random recursive tree plus extra edges, at most max_edges in all."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=max_edges - (n - 1)))
+    return Graph.from_edges(n, sorted(edges | set(extra)))
+
+
+def sparse_family(seed, count):
+    """``count`` seeded connected graphs of order 14-22: trees plus 4-12 extra edges."""
+    rng = random.Random(seed)
+    family = []
+    for i in range(count):
+        n = 14 + i % 9
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        while len(edges) < n - 1 + rng.randint(4, 12):
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        family.append(Graph.from_edges(n, sorted(edges)))
+    return family
+
+
+@st.composite
 def graphs(draw, min_n=1, max_n=10, p_num=1, p_den=2):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     adj = [0] * n
@@ -157,6 +181,16 @@ def test_oracle_equivalence_all_connected_up_to_6():
             checked += 1
     # labeled connected graphs with an edge, n = 2..6: 1 + 4 + 38 + 728 + 26704
     assert checked == 27475
+
+
+@given(sparse_connected_graphs())
+@settings(max_examples=150, deadline=None)
+def test_min_maximal_matching_on_sparse_graphs_of_order_8_to_16(g):
+    # beyond the exhaustive orders: the branch edge is picked by degree, and
+    # sparse graphs have many ties and long paths of degree-2 vertices
+    q = brute_force_invariants(g).q
+    assert min_maximal_matching_number(g) == q
+    assert minimum_maximal_matching(g) == next(enumerate_maximal_matchings(g, size_filter=q))
 
 
 def test_brute_force_rejects_oversized_inputs():
@@ -469,11 +503,38 @@ def test_witnesses_honour_the_budget(witness):
 
 
 def _least_node_limit(solve, g):
-    for limit in itertools.count(1):
+    """The least node limit under which solve(g) finishes, and its result.
+
+    A solve is deterministic, so it finishes under a limit iff the limit is
+    at least its node count: double, then bisect.
+    """
+    def attempt(limit):
         try:
-            return limit, solve(g, SolverBudget(node_limit=limit))
+            return solve(g, SolverBudget(node_limit=limit))
         except BudgetExceeded:
-            pass
+            return None
+
+    low, high = 0, 1  # limits from 1 up
+    while (result := attempt(high)) is None:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        found = attempt(mid)
+        if found is None:
+            low = mid
+        else:
+            high, result = mid, found
+    return high, result
+
+
+def test_q_search_node_counts():
+    # one node per memo miss of the q recursion; a change in how it branches
+    # shows up here.  Branching on the first remaining edge took 125, 54 and
+    # 3826 nodes; a least-degree edge takes:
+    assert _least_node_limit(min_maximal_matching_number, whiskered_clique(8)) == (54, 4)
+    assert _least_node_limit(min_maximal_matching_number, petersen()) == (54, 3)
+    family = sparse_family("q nodes", 40)
+    assert sum(_least_node_limit(min_maximal_matching_number, g)[0] for g in family) == 3086
 
 
 @pytest.mark.parametrize(
