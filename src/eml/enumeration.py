@@ -26,7 +26,7 @@ seen-set and streams one order at a time.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from eml.canon import automorphism_generators, in_last_cell, key_and_order
 from eml.graphs import Graph, InputError, bits, component_masks
@@ -58,7 +58,7 @@ def _children(
     parent: AdjKey, max_edges: int | None, require_covering: bool
 ) -> Iterator[AdjKey]:
     """Accepted one-vertex extensions of parent, in deterministic order."""
-    adj, parent_key = parent
+    adj, parent_key = parent[0], parent[1]
     k = len(adj)
     parent_edges = sum(row.bit_count() for row in adj) // 2
     comps = component_masks(adj, (1 << k) - 1) if require_covering else []
@@ -115,34 +115,45 @@ def _spanning_deficit(adj: tuple[int, ...], k: int) -> int:
     return len(component_masks(adj, (1 << k) - 1)) - k
 
 
+def _as_is(parent, children: Iterator[AdjKey]) -> Iterator[AdjKey]:
+    return children
+
+
 def descend(
-    parents: list[AdjKey],
+    parents: list,
     k_from: int,
     n: int,
     max_edges: int | None,
     connected: bool,
-) -> Iterator[AdjKey]:
+    grow: Callable = _as_is,
+) -> Iterator:
     """Stream accepted order-n descendants of the given order-k_from classes.
 
     With connected=True only connected graphs are emitted at order n, and
     intermediate parents that cannot reach a connected order-n graph within
     max_edges are pruned.
+
+    Each class is a tuple led by its adjacency rows and canonical key.
+    grow(parent, children) turns one parent's accepted children, as
+    (adj, key) pairs, into the classes carried to the next level (or
+    emitted, at order n), and may drop any of them together with everything
+    below it; by default every child is carried as it is.
     """
     level = parents
     for k in range(k_from, n - 1):
-        grown: list[AdjKey] = []
+        grown: list = []
         for parent in level:
             if connected and max_edges is not None:
                 edges = sum(row.bit_count() for row in parent[0]) // 2
                 if edges + n - 1 + _spanning_deficit(parent[0], k) > max_edges:
                     continue
-            grown.extend(_children(parent, max_edges, False))
+            grown.extend(grow(parent, _children(parent, max_edges, False)))
         level = grown
     if n == k_from:
         yield from level
         return
     for parent in level:
-        yield from _children(parent, max_edges, connected)
+        yield from grow(parent, _children(parent, max_edges, connected))
 
 
 def seed_level(k: int, max_edges: int | None = None) -> list[AdjKey]:

@@ -161,11 +161,17 @@ def _max_matching_mate(adj: tuple[int, ...], n: int, meter: _Meter | None = None
     mate = [-1] * n
     for u in range(n):
         if mate[u] < 0:
-            for v in bits(adj[u]):
+            # inline bit loops rather than graphs.bits(), lowest bit first:
+            # this solve runs once per vertex of every augmentation parent
+            scan = adj[u]
+            while scan:
+                low = scan & -scan
+                v = low.bit_length() - 1
                 if mate[v] < 0:
                     mate[u] = v
                     mate[v] = u
                     break
+                scan ^= low
 
     parent = [-1] * n
     base = list(range(n))
@@ -206,7 +212,11 @@ def _max_matching_mate(adj: tuple[int, ...], n: int, meter: _Meter | None = None
             head += 1
             if meter is not None:
                 meter.tick()
-            for w in bits(adj[v]):
+            scan = adj[v]
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                w = low.bit_length() - 1
                 if base[v] == base[w] or mate[v] == w:
                     continue
                 if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):

@@ -346,7 +346,7 @@ def test_verify_default_runs_all_claims(capsys):
     )
     assert code == 0
     assert rec["outputs"]["ok"]
-    assert len(rec["provenance"]) == 7
+    assert len(rec["provenance"]) == 6
 
 
 def test_verify_bounds_scope(capsys):

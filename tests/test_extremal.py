@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -146,6 +147,21 @@ def test_incremental_triples_match_the_solvers_to_order_8():
     assert 0 in parents
 
 
+def test_pruned_scan_finds_every_census_row():
+    # a least-edge search keeps only the classes that can still reach its
+    # target; an on-target class's ancestors are its induced subgraphs, so
+    # the pruned scan for a row's triple must find all of the row's classes
+    for n in range(2, 8):
+        for row in census(n):
+            keep = partial(extremal._reachable, row.triple, n)
+            agg, _ = extremal._scan(
+                n, None, extremal._aggregate, dict, extremal._merge, 1, None, keep
+            )
+            count, least, keys = agg[row.triple]
+            assert count == row.count and least == row.min_edges, row
+            assert extremal._witness_strings(n, keys) == row.witnesses, row
+
+
 @pytest.mark.parametrize(
     "triple,want",
     [((1, 2, 2), 4), ((2, 2, 2), 5), ((2, 2, 3), 6), ((1, 1, 1), 2), ((1, 3, 3), 6)],
@@ -235,6 +251,17 @@ def test_min_edges_p_below_q_skips_the_tree_order():
     assert rep.value == 11 and rep.certified
     assert rep.witnesses == ("G?Krc[",)
     assert rep.searched_to == 10  # order 11 would need 11 edges, no tree being (1, 3, 4)
+    # the order 8-10 classes with at most 10 edges reached through kept parents
+    assert rep.scanned == 21
+    assert min_edges(1, 3, 4, workers=2).scanned == 21
+
+
+def test_min_edges_beyond_the_envelope_is_uncertified():
+    # K_{4,4} gives 16; no (1, 4, 4) graph of order 8-10 has at most 15 edges,
+    # but orders above MAX_ENUM_ORDER are not searched
+    rep = min_edges(1, 4, 4)
+    assert rep.value == 16 and not rep.certified
+    assert rep.searched_to == 10
 
 
 def test_min_edges_p_ge_2_and_q_eq_r_starts_above_order_2r():
@@ -243,7 +270,7 @@ def test_min_edges_p_ge_2_and_q_eq_r_starts_above_order_2r():
     assert rep.value == 10 and rep.certified
     assert rep.witnesses == ("HIa?@cM",)
     assert rep.searched_to == 9
-    assert rep.scanned == 287  # the order-9 classes with at most 9 edges only
+    assert rep.scanned == 3  # order-9 classes with at most 9 edges, through kept parents
 
 
 def test_min_edges_parallel_scan_matches_serial():
