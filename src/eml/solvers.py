@@ -267,12 +267,27 @@ def has_perfect_matching(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # Minimum maximal matching: memoized recursion on the set of still-free
 # vertices.  Disjoint components of the free part are solved independently
-# and summed, so ``_min_maximal_component`` only sees connected sets of at
-# least 2 vertices.  For any edge uv of the component, every maximal matching
+# and summed; a component of 2 or 3 vertices is an edge or a path and has
+# q = 1, so ``_min_maximal_component`` only sees connected sets of at least
+# 4 vertices.  For any edge uv of the component, every maximal matching
 # covers u or v (else uv could be added), so the edges at u together with
-# the edges at v are a complete branch set.  The edge is chosen to keep that
-# set small: u of least degree in the component, then v of least degree
-# among u's neighbours, lowest index on ties.
+# the edges at v are a complete branch set.
+#
+# Lemma: q(G - w) <= q(G) for every vertex w.  Take a minimum maximal
+# matching M of G.  If M misses w, M is maximal in G - w.  If M matches w to
+# y, M - wy leaves only y newly free; add one edge yz to a free z if there
+# is one, and the result is maximal in G - w with at most |M| edges.
+#
+# Pendant rule.  If x has degree 1 with neighbour v, every maximal matching
+# covers v, so v's edges are a complete branch set.  Among them an edge vx'
+# to a pendant x' is never better than an edge vw to a non-pendant w:
+# q(F - v - x') = q(F - v) >= q(F - v - w) by the lemma, as x' is isolated
+# in F - v.  So only v's edges to non-pendants are branched on, and when v
+# has none the component is a star with q = 1.  The pendant whose neighbour
+# has the fewest such edges is taken; one such edge is a forced move.
+# Without a pendant, the branch edge uv keeps the branch set small: u of
+# least degree in the component, then v of least degree among u's
+# neighbours, lowest index on ties.
 # ---------------------------------------------------------------------------
 
 
@@ -294,8 +309,10 @@ def _min_maximal_size(adj: tuple[int, ...], free: int, memo: dict, meter: _Meter
             frontier = grow & remaining & ~comp
             comp |= frontier
         remaining &= ~comp
-        if comp != seed:  # singletons need no edges
+        if comp.bit_count() > 3:
             total += _min_maximal_component(adj, comp, memo, meter)
+        elif comp != seed:  # singletons need no edges
+            total += 1
     return total
 
 
@@ -306,28 +323,47 @@ def _min_maximal_component(adj: tuple[int, ...], free: int, memo: dict, meter: _
     if meter is not None:
         meter.tick()
     best = free.bit_count()  # exceeds every degree and every maximal matching
+    pendants = 0
     u, du = -1, best
     scan = free
     while scan:
         low = scan & -scan
         x = low.bit_length() - 1
         d = (adj[x] & free).bit_count()
-        if d < du:
+        if d == 1:
+            pendants |= low
+        elif d < du:
             u, du = x, d
-            if d == 1:  # the component is connected, so no degree is lower
-                break
         scan ^= low
-    un = adj[u] & free
-    v, dv = -1, best
-    scan = un
-    while scan:
-        low = scan & -scan
-        x = low.bit_length() - 1
-        d = (adj[x] & free).bit_count()
-        if d < dv:
-            v, dv = x, d
-        scan ^= low
-    for end, scan in ((u, un), (v, adj[v] & free & ~(1 << u))):
+    if pendants:
+        branch, count = 0, best
+        scan = pendants
+        while scan:
+            low = scan & -scan
+            hub = adj[low.bit_length() - 1] & free
+            out = adj[hub.bit_length() - 1] & free & ~pendants
+            if out.bit_count() < count:
+                v, branch, count = hub.bit_length() - 1, out, out.bit_count()
+                if count <= 1:
+                    break
+            scan ^= low
+        if not branch:  # v's neighbours are all pendants: a star
+            memo[free] = 1
+            return 1
+        branches = ((v, branch),)
+    else:
+        un = adj[u] & free
+        v, dv = -1, best
+        scan = un
+        while scan:
+            low = scan & -scan
+            x = low.bit_length() - 1
+            d = (adj[x] & free).bit_count()
+            if d < dv:
+                v, dv = x, d
+            scan ^= low
+        branches = ((u, un), (v, adj[v] & free & ~(1 << u)))
+    for end, scan in branches:
         rest = free ^ (1 << end)
         while scan:
             low = scan & -scan
@@ -391,21 +427,34 @@ def _mis_size(neigh: list[int], meter: _Meter | None = None, pool: int | None = 
             return
         if count > 8 and size + clique_cover_bound(pool) <= best:
             return
-        # take vertices of maximum pool-degree first; isolated ones are free
+        # domination: if v and w are adjacent and N[v] & pool lies inside
+        # N[w], swapping w for v keeps an independent set independent, so w
+        # leaves the pool.  An isolated v is the degree-0 case: it is taken.
         scan = pool
         while scan:
             low = scan & -scan
-            v = low.bit_length() - 1
-            if neigh[v] & pool == 0:
+            scan ^= low
+            if not pool & low:  # left the pool earlier in this pass
+                continue
+            near = neigh[low.bit_length() - 1] & pool
+            if not near:
                 size += 1
                 pool ^= low
                 if size > best:
                     best = size
                     if meter is not None and best > (meter.lower or 0):
                         meter.lower = best
-            scan ^= low
+                continue
+            rest = near
+            while rest:
+                w = rest & -rest
+                rest ^= w
+                if (near ^ w) & ~neigh[w.bit_length() - 1] == 0:
+                    near ^= w
+                    pool ^= w
         if not pool:
             return
+        # branch on a vertex of maximum pool-degree, taking it first
         v_best, deg_best = -1, -1
         scan = pool
         while scan:

@@ -70,6 +70,26 @@ def petersen():
     return Graph.from_edges(10, outer + inner + [(i, i + 5) for i in range(5)])
 
 
+def spider(*legs):
+    """Paths of the given lengths joined at vertex 0."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if k == 0 else n + k - 1, n + k) for k in range(length)]
+        n += length
+    return Graph.from_edges(n, edges)
+
+
+def caterpillar(*leaves):
+    """A spine path with leaves[i] pendant vertices hung on spine vertex i."""
+    spine = len(leaves)
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i, count in enumerate(leaves):
+        edges += [(i, n + k) for k in range(count)]
+        n += count
+    return Graph.from_edges(n, edges)
+
+
 def whiskered_clique(r):
     edges = [(i, j) for i in range(r) for j in range(i + 1, r)]
     edges += [(k, r + k) for k in range(r)]
@@ -188,6 +208,55 @@ def test_oracle_equivalence_all_connected_up_to_6():
 def test_min_maximal_matching_on_sparse_graphs_of_order_8_to_16(g):
     # beyond the exhaustive orders: the branch edge is picked by degree, and
     # sparse graphs have many ties and long paths of degree-2 vertices
+    q = brute_force_invariants(g).q
+    assert min_maximal_matching_number(g) == q
+    assert minimum_maximal_matching(g) == next(enumerate_maximal_matchings(g, size_filter=q))
+
+
+def least_induced_matching(g, p):
+    """The lexicographically least induced matching of g with p edges:
+    include-first search over the sorted edge list."""
+    edges = g.edges()
+
+    def walk(i, chosen):
+        if len(chosen) == p:
+            return tuple(chosen)
+        for j in range(i, len(edges) - (p - len(chosen)) + 1):
+            grown = chosen + [edges[j]]
+            if is_matching(g, grown) and is_induced_matching(g, grown):
+                found = walk(j + 1, grown)
+                if found:
+                    return found
+        return None
+
+    return walk(0, [])
+
+
+@given(sparse_connected_graphs())
+@settings(max_examples=150, deadline=None)
+def test_mis_on_sparse_graphs_of_order_8_to_16(g):
+    # the MIS search drops dominated vertices before it branches; sparse
+    # graphs have many pendants, so their conflict graphs have many such
+    nx = pytest.importorskip("networkx")
+    p = brute_force_invariants(g).p
+    assert induced_matching_number(g) == p
+    assert maximum_induced_matching(g) == least_induced_matching(g, p)
+    H = nx.complement(nx.Graph(g.edges()))
+    H.add_nodes_from(range(g.n))
+    assert independence_number(g) == nx.max_weight_clique(H, weight=None)[1]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [path(n) for n in range(2, 13)]
+    + [spider(*[1] * m) for m in range(1, 9)]  # stars
+    + [spider(1, 1, 2), spider(2, 2, 2), spider(1, 2, 3, 4), spider(3, 3, 3, 3), spider(1, 1, 1, 5)]
+    + [caterpillar(2, 0, 2), caterpillar(1, 1, 1, 1), caterpillar(3, 0, 0, 3), caterpillar(0, 2, 2, 0, 1)]
+    + [caterpillar(1, 0, 1, 0, 1, 0, 1), caterpillar(2, 1, 0, 0, 1, 2)],
+)
+def test_min_maximal_matching_on_pendant_heavy_graphs(g):
+    # stars, 2-3 vertex components and pendants whose neighbour has a single
+    # non-pendant edge (a forced move) all take the pendant rule's shortcuts
     q = brute_force_invariants(g).q
     assert min_maximal_matching_number(g) == q
     assert minimum_maximal_matching(g) == next(enumerate_maximal_matchings(g, size_filter=q))
@@ -530,11 +599,20 @@ def _least_node_limit(solve, g):
 def test_q_search_node_counts():
     # one node per memo miss of the q recursion; a change in how it branches
     # shows up here.  Branching on the first remaining edge took 125, 54 and
-    # 3826 nodes; a least-degree edge takes:
-    assert _least_node_limit(min_maximal_matching_number, whiskered_clique(8)) == (54, 4)
-    assert _least_node_limit(min_maximal_matching_number, petersen()) == (54, 3)
+    # 3826 nodes, and a least-degree edge alone 54, 54 and 3086; with the
+    # pendant rule and no nodes for components of 2 or 3 vertices:
+    assert _least_node_limit(min_maximal_matching_number, whiskered_clique(8)) == (33, 4)
+    assert _least_node_limit(min_maximal_matching_number, petersen()) == (22, 3)
     family = sparse_family("q nodes", 40)
-    assert sum(_least_node_limit(min_maximal_matching_number, g)[0] for g in family) == 3086
+    assert sum(_least_node_limit(min_maximal_matching_number, g)[0] for g in family) == 595
+
+
+def test_mis_search_node_counts():
+    # one node per call of the MIS expansion; branching without the
+    # domination rule took 3134 and 29 nodes
+    family = sparse_family("q nodes", 40)
+    assert sum(_least_node_limit(induced_matching_number, g)[0] for g in family) == 230
+    assert _least_node_limit(independence_number, petersen()) == (19, 4)
 
 
 @pytest.mark.parametrize(
@@ -546,10 +624,11 @@ def test_q_search_node_counts():
         (maximum_independent_set, independence_number, int.bit_count),
     ],
 )
-def test_witness_out_of_budget_reports_the_solved_value(witness, value, size):
+@pytest.mark.parametrize("graph", [petersen, lambda: whiskered_clique(8)], ids=["petersen", "whiskered"])
+def test_witness_out_of_budget_reports_the_solved_value(witness, value, size, graph):
     # a witness call starts with the value solve; once that is done, running
     # out of budget while picking the witness reports the value as both bounds
-    g = petersen()
+    g = graph()
     solved_at, v = _least_node_limit(value, g)
     done_at, w = _least_node_limit(witness, g)
     assert size(w) == v
