@@ -13,6 +13,18 @@ automorphism group, and ``automorphism_generators`` returns them.  Every
 canonical order ends in the last cell of the root equitable partition,
 which ``in_last_cell`` tests without labeling.
 
+An ordered partition is a list of cells, each a vertex mask, as in the
+bit-vector partitions of nauty and Traces (McKay and Piperno, "Practical
+graph isomorphism, II", J. Symbolic Comput. 60 (2014)).  Refinement
+replaces a cell by its parts in ascending neighbour count, and
+individualization puts the chosen vertex's singleton just before the rest
+of its cell.  A vertex list split that way from the root cell 0..n-1 stays
+in ascending order, the order a mask lists its vertices, so the search
+tries the same vertices in the same order with either representation.
+Keys, orders and generators are therefore those of the vertex-list kernel
+that the tests keep as a reference; the tests also freeze a hash of the
+keys of all 1,044 graphs of order 7.
+
 Worst-case cost is exponential, as for any exact isomorphism method; the
 intended envelope is the package's search range (n <= 10, trees larger),
 although any graph within the 64-vertex cap is accepted.
@@ -25,61 +37,85 @@ from functools import lru_cache
 from eml.graphs import Graph, bits, pack_graph6
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]], queue: list[int]) -> None:
-    """Equitable refinement in place; splitter masks are consumed from queue."""
-    while queue:
+def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
+    """The equitable refinement of cells; splitter masks are consumed from queue.
+
+    Each popped splitter splits every cell by the number of neighbours its
+    vertices have in the splitter, into parts of ascending count, each part
+    pushed as a new splitter in that order.  A singleton splitter {u} (every
+    individualization starts with one) splits a cell C into C & ~adj[u] and
+    C & adj[u].  A larger one first adds up adj[w] over its vertices w into
+    bit-sliced counter planes, plane j holding bit j of every vertex's count,
+    and each cell splits on the planes from the most significant down, so
+    its parts come out in ascending count.  Once every cell is a singleton
+    nothing can split, and the splitters left in the queue are dropped.
+    """
+    n = len(adj)
+    while queue and len(cells) < n:
         splitter = queue.pop()
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            if len(cell) > 1:
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((adj[v] & splitter).bit_count(), []).append(v)
-                if len(groups) > 1:
-                    parts = [groups[key] for key in sorted(groups)]
-                    cells[i : i + 1] = parts
+        out: list[int] = []
+        if not splitter & (splitter - 1):
+            row = adj[splitter.bit_length() - 1]
+            for cell in cells:
+                hi = cell & row
+                if hi and hi != cell:
+                    lo = cell ^ hi
+                    out += (lo, hi)
+                    queue += (lo, hi)
+                else:
+                    out.append(cell)
+        else:
+            planes: list[int] = []
+            while splitter:
+                low = splitter & -splitter
+                splitter ^= low
+                carry = adj[low.bit_length() - 1]
+                for j, plane in enumerate(planes):
+                    planes[j] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    if carry:
+                        planes.append(carry)
+            planes.reverse()
+            for cell in cells:
+                for plane in planes:
+                    hi = cell & plane
+                    if hi and hi != cell:
+                        break
+                else:
+                    out.append(cell)
+                    continue
+                parts = [cell]
+                for plane in planes:
+                    split = []
                     for part in parts:
-                        mask = 0
-                        for v in part:
-                            mask |= 1 << v
-                        queue.append(mask)
-                    i += len(parts) - 1
-            i += 1
+                        hi = part & plane
+                        if hi and hi != part:
+                            split += (part ^ hi, hi)
+                        else:
+                            split.append(part)
+                    parts = split
+                out += parts
+                queue += parts
+        cells = out
+    return cells
 
 
 @lru_cache(maxsize=1)
-def _root_cells(adj: tuple[int, ...], n: int) -> list[list[int]]:
-    """The root equitable partition; callers must not modify it.
+def _root_cells(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The root equitable partition, refined from all of V by splitter V.
 
     The last graph's is kept: the enumerator labels a child right after
     testing it with ``in_last_cell``.
     """
-    cells = [list(range(n))]
-    _refine(adj, cells, [(1 << n) - 1])
-    return cells
-
-
-def _leading_bits(adj: tuple[int, ...], cells: list[list[int]]) -> tuple[int, int]:
-    """Encoded upper-triangle bits of the leading singleton run, plus bit count."""
-    enc = 0
-    width = 0
-    placed: list[int] = []
-    for cell in cells:
-        if len(cell) != 1:
-            break
-        v = cell[0]
-        row = 0
-        for u in placed:
-            row = row << 1 | (adj[v] >> u & 1)
-        enc = enc << len(placed) | row
-        width += len(placed)
-        placed.append(v)
-    return enc, width
+    everything = (1 << n) - 1
+    return tuple(_refine(adj, [everything], [everything]))
 
 
 class _Search:
-    __slots__ = ("adj", "n", "total", "best_enc", "best_order", "gens")
+    __slots__ = ("adj", "n", "total", "best_enc", "best_order", "gens", "fixes")
 
     def __init__(self, adj: tuple[int, ...], n: int):
         self.adj = adj
@@ -88,21 +124,34 @@ class _Search:
         self.best_enc: int | None = None
         self.best_order: list[int] | None = None
         self.gens: list[list[int]] = []
+        self.fixes: list[int] = []  # the fixed-point mask of each generator
 
     def run(self) -> tuple[int, list[int]]:
-        self.descend(_root_cells(self.adj, self.n), [])
+        self.descend(list(_root_cells(self.adj, self.n)), 0, 0, 0, 0)
         assert self.best_order is not None
         return self.best_enc, self.best_order
 
-    def descend(self, cells: list[list[int]], path: list[int]) -> None:
-        enc, width = _leading_bits(self.adj, cells)
-        if self.best_enc is not None:
-            best_prefix = self.best_enc >> (self.total - width)
-            if enc > best_prefix:
-                return
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
-            order = [cell[0] for cell in cells]
+    def descend(self, cells: list[int], path: int, enc: int, width: int, run: int) -> None:
+        """Search below cells; path masks the individualized vertices, and
+        enc holds the width upper-triangle bits of the first run cells, which
+        are singletons (refinement never splits or moves those again)."""
+        adj = self.adj
+        size = len(cells)
+        while run < size:
+            cell = cells[run]
+            if cell & (cell - 1):
+                break
+            nbrs = adj[cell.bit_length() - 1]
+            row = 0
+            for i in range(run):
+                row = row << 1 | (nbrs & cells[i] != 0)
+            enc = enc << run | row
+            width += run
+            run += 1
+        if self.best_enc is not None and enc > self.best_enc >> (self.total - width):
+            return
+        if run == size:
+            order = [cell.bit_length() - 1 for cell in cells]
             if self.best_enc is None or enc < self.best_enc:
                 self.best_enc = enc
                 self.best_order = order
@@ -110,41 +159,55 @@ class _Search:
                 # equal certificates expose an automorphism: the map sending
                 # the incumbent's vertex at each position to this leaf's
                 auto = [0] * self.n
-                for pos in range(self.n):
-                    auto[self.best_order[pos]] = order[pos]
+                fixed = 0
+                for u, v in zip(self.best_order, order):
+                    auto[u] = v
+                    if u == v:
+                        fixed |= 1 << u
                 self.gens.append(auto)
+                self.fixes.append(fixed)
             return
-        tried: list[int] = []
-        for v in cells[target]:
-            if tried and self._in_earlier_orbit(v, tried, path):
+        target = cells[run]
+        rest = target
+        tried = 0
+        built = -1
+        orbit = None
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if tried:
+                if built != len(self.gens):
+                    built = len(self.gens)
+                    orbit = self._orbits(path)
+                if orbit is not None and orbit[low.bit_length() - 1] & tried:
+                    continue
+            tried |= low
+            branched = cells.copy()
+            branched[run : run + 1] = (low, target ^ low)
+            self.descend(_refine(adj, branched, [low]), path | low, enc, width, run)
+
+    def _orbits(self, path: int) -> list[int] | None:
+        """Orbit masks, per vertex, of the recorded generators fixing path;
+        None when none fixes it."""
+        orbit = None
+        for g, fixed in zip(self.gens, self.fixes):
+            if path & ~fixed:
                 continue
-            tried.append(v)
-            branched = [list(c) for c in cells]
-            rest = [u for u in branched[target] if u != v]
-            branched[target : target + 1] = [[v], rest]
-            _refine(self.adj, branched, [1 << v])
-            self.descend(branched, path + [v])
-
-    def _in_earlier_orbit(self, v: int, tried: list[int], path: list[int]) -> bool:
-        """Is v mapped to an already-tried vertex by automorphisms fixing path?"""
-        fixed = [g for g in self.gens if all(g[u] == u for u in path)]
-        if not fixed:
-            return False
-        root = list(range(self.n))
-
-        def find(x: int) -> int:
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
-        for g in fixed:
-            for x in range(self.n):
-                rx, ry = find(x), find(g[x])
-                if rx != ry:
-                    root[rx] = ry
-        mark = find(v)
-        return any(find(u) == mark for u in tried)
+            if orbit is None:
+                orbit = [1 << x for x in range(self.n)]
+            moved = ((1 << self.n) - 1) & ~fixed
+            while moved:
+                low = moved & -moved
+                moved ^= low
+                x = low.bit_length() - 1
+                a, b = orbit[x], orbit[g[x]]
+                if a != b:
+                    merged = rest = a | b
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        orbit[low.bit_length() - 1] = merged
+        return orbit
 
 
 def key_and_order(adj: tuple[int, ...], n: int) -> tuple[int, list[int]]:
@@ -184,7 +247,7 @@ def in_last_cell(adj: tuple[int, ...], n: int, v: int) -> bool:
     Refinement and individualization keep each cell's slot, so every
     canonical order (``key_and_order``) ends with a vertex of that cell.
     """
-    return v in _root_cells(adj, n)[-1]
+    return bool(_root_cells(adj, n)[-1] >> v & 1)
 
 
 def canonical_order(g: Graph) -> list[int]:

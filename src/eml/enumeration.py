@@ -26,10 +26,11 @@ seen-set and streams one order at a time.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from eml.canon import automorphism_generators, in_last_cell, key_and_order
-from eml.graphs import Graph, InputError, bits, component_masks
+from eml.graphs import Graph, InputError, component_masks
 
 MAX_ENUM_ORDER = 10
 MAX_TREE_ORDER = 22
@@ -49,8 +50,10 @@ def _delete_last_candidate(adj: tuple[int, ...], d: int) -> tuple[int, ...]:
 def _image(g: list[int], s: int) -> int:
     """The vertex mask s mapped through the permutation g."""
     t = 0
-    for v in bits(s):
-        t |= 1 << g[v]
+    while s:
+        low = s & -s
+        s ^= low
+        t |= 1 << g[low.bit_length() - 1]
     return t
 
 
@@ -156,12 +159,17 @@ def descend(
         yield from grow(parent, _children(parent, max_edges, connected))
 
 
-def seed_level(k: int, max_edges: int | None = None) -> list[AdjKey]:
-    """All isomorphism classes of order k (connected or not), with keys."""
+@lru_cache(maxsize=16)
+def seed_level(k: int, max_edges: int | None = None) -> tuple[AdjKey, ...]:
+    """All isomorphism classes of order k (connected or not), with keys.
+
+    Built once per (k, max_edges): a least-edge search asks for the same
+    level at every order it scans.
+    """
     level: list[AdjKey] = [((0,), 0)]
     for _ in range(k - 1):
         level = [child for parent in level for child in _children(parent, max_edges, False)]
-    return level
+    return tuple(level)
 
 
 def enumerate_connected_graphs(n: int, max_edges: int | None = None) -> Iterator[Graph]:

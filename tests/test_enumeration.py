@@ -49,6 +49,7 @@ def test_connected_class_counts(n, monkeypatch):
         return label(adj, order)
 
     monkeypatch.setattr(enumeration, "key_and_order", counting)
+    enumeration.seed_level.cache_clear()  # count the seed level's labelings too
     assert sum(1 for _ in enumerate_connected_graphs(n)) == CONNECTED_COUNTS[n]
     assert calls == LABELINGS[n]
 

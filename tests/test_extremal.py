@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import eml.enumeration as enumeration
 import eml.extremal as extremal
 from eml.extremal import (
     census,
@@ -254,6 +255,23 @@ def test_min_edges_p_below_q_skips_the_tree_order():
     # the order 8-10 classes with at most 10 edges reached through kept parents
     assert rep.scanned == 21
     assert min_edges(1, 3, 4, workers=2).scanned == 21
+
+
+def test_min_edges_labels_its_seed_level_once(monkeypatch):
+    # orders 8, 9 and 10 all split the augmentation tree at the order-6
+    # level with the same edge cap, whose 222 labelings are made once
+    calls = 0
+    label = enumeration.key_and_order
+
+    def counting(adj, order):
+        nonlocal calls
+        calls += 1
+        return label(adj, order)
+
+    monkeypatch.setattr(enumeration, "key_and_order", counting)
+    enumeration.seed_level.cache_clear()
+    assert min_edges(1, 3, 4).scanned == 21
+    assert calls == 1894  # 2338 when the level was rebuilt for each order
 
 
 def test_min_edges_beyond_the_envelope_is_uncertified():
