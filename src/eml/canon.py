@@ -32,12 +32,12 @@ although any graph within the 64-vertex cap is accepted.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from eml.graphs import Graph, bits, pack_graph6
 
 
-def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
+def _refine(
+    adj: tuple[int, ...], cells: list[int], queue: list[int], keep: int = -1
+) -> list[int] | None:
     """The equitable refinement of cells; splitter masks are consumed from queue.
 
     Each popped splitter splits every cell by the number of neighbours its
@@ -49,6 +49,10 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[in
     and each cell splits on the planes from the most significant down, so
     its parts come out in ascending count.  Once every cell is a singleton
     nothing can split, and the splitters left in the queue are dropped.
+
+    Cells are only ever split in place, so a vertex that leaves the last
+    cell never returns to it: the refinement stops, returning None, after
+    the first pass whose last cell misses the mask keep.
     """
     n = len(adj)
     while queue and len(cells) < n:
@@ -99,19 +103,31 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[in
                     parts = split
                 out += parts
                 queue += parts
+        if not out[-1] & keep:
+            return None
         cells = out
     return cells
 
 
-@lru_cache(maxsize=1)
-def _root_cells(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The root equitable partition, refined from all of V by splitter V.
+_last_root: list = [None, 0, ()]  # adj, n and root cells of the last full refinement
 
-    The last graph's is kept: the enumerator labels a child right after
-    testing it with ``in_last_cell``.
+
+def _root_cells(adj: tuple[int, ...], n: int, keep: int = -1) -> tuple[int, ...] | None:
+    """The root equitable partition, refined from all of V by splitter V, or
+    None once its last cell misses the mask keep.
+
+    The last completed partition is kept: the enumerator labels a child
+    right after testing it with ``in_last_cell``.  A refinement stopped
+    early is not.
     """
+    if _last_root[1] == n and _last_root[0] == adj:
+        return _last_root[2]
     everything = (1 << n) - 1
-    return tuple(_refine(adj, [everything], [everything]))
+    cells = _refine(adj, [everything], [everything], keep)
+    if cells is None:
+        return None
+    _last_root[:] = adj, n, tuple(cells)
+    return _last_root[2]
 
 
 class _Search:
@@ -246,8 +262,10 @@ def in_last_cell(adj: tuple[int, ...], n: int, v: int) -> bool:
 
     Refinement and individualization keep each cell's slot, so every
     canonical order (``key_and_order``) ends with a vertex of that cell.
+    The refinement stops as soon as a split leaves v outside the last cell.
     """
-    return bool(_root_cells(adj, n)[-1] >> v & 1)
+    cells = _root_cells(adj, n, 1 << v)
+    return cells is not None and bool(cells[-1] >> v & 1)
 
 
 def canonical_order(g: Graph) -> list[int]:

@@ -94,7 +94,7 @@ from eml.solvers import (
     SolverFault,
     augmentation_parent,
     augmented_triple,
-    checked_triple,
+    check_chain,
     induced_matching_number,
     invariant_triple,
     min_maximal_matching_number,
@@ -156,7 +156,7 @@ def _classes(
                 summary = augmentation_parent(Graph(m - 1, adj), triple, budget)
             t = augmented_triple(summary, child[-1], budget)
             if t[2]:  # an edgeless class has no chain to check
-                checked_triple(Graph(m, child), *t)
+                check_chain(m, *t)
             if m == n or keep is None or keep(m, t):
                 yield child, key, t
 

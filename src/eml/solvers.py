@@ -21,7 +21,6 @@ the best bounds established so far.
 from __future__ import annotations
 
 import time
-from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from eml.graphs import (
@@ -156,13 +155,91 @@ def brute_force_invariants(g: Graph) -> InvariantTriple:
 # ---------------------------------------------------------------------------
 
 
+def _augment_from(
+    adj: tuple[int, ...], mate: list[int], root: int, live: int, meter: _Meter | None
+) -> int:
+    """Grow an alternating tree from the free vertex root inside the vertex
+    mask live.  If an augmenting path turns up it is flipped into mate and 0
+    is returned; otherwise mate is untouched and the mask of the tree's even
+    vertices (root, the mates of odd ones, and everything in a blossom) is
+    returned: the vertices an even alternating path from root reaches.
+    """
+    n = len(mate)
+    parent = [-1] * n
+    base = list(range(n))
+    even = 1 << root
+    queue = [root]
+
+    def lowest_common_ancestor(a: int, b: int) -> int:
+        seen = 0
+        while True:
+            a = base[a]
+            seen |= 1 << a
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if seen >> b & 1:
+                return b
+            b = parent[mate[b]]
+
+    def mark_blossom(v: int, ancestor: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != ancestor:
+            blossom[base[v]] = True
+            blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        if meter is not None:
+            meter.tick()
+        # inline bit loops rather than graphs.bits(), lowest bit first
+        scan = adj[v] & live
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            w = low.bit_length() - 1
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):
+                # odd cycle: contract the blossom
+                ancestor = lowest_common_ancestor(v, w)
+                blossom = [False] * n
+                mark_blossom(v, ancestor, w, blossom)
+                mark_blossom(w, ancestor, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = ancestor
+                        if not even >> i & 1:
+                            even |= 1 << i
+                            queue.append(i)
+            elif parent[w] < 0:
+                parent[w] = v
+                if mate[w] < 0:
+                    # augmenting path found: flip it
+                    while w >= 0:
+                        v = parent[w]
+                        nxt = mate[v]
+                        mate[w] = v
+                        mate[v] = w
+                        w = nxt
+                    return 0
+                if not even >> mate[w] & 1:
+                    even |= 1 << mate[w]
+                    queue.append(mate[w])
+    return even
+
+
 def _max_matching_mate(adj: tuple[int, ...], n: int, meter: _Meter | None = None) -> list[int]:
     """mate[v] = partner of v in a maximum matching, or -1."""
     mate = [-1] * n
     for u in range(n):
         if mate[u] < 0:
-            # inline bit loops rather than graphs.bits(), lowest bit first:
-            # this solve runs once per vertex of every augmentation parent
             scan = adj[u]
             while scan:
                 low = scan & -scan
@@ -172,84 +249,10 @@ def _max_matching_mate(adj: tuple[int, ...], n: int, meter: _Meter | None = None
                     mate[v] = u
                     break
                 scan ^= low
-
-    parent = [-1] * n
-    base = list(range(n))
-    in_queue = [False] * n
-
-    def lowest_common_ancestor(a: int, b: int) -> int:
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if mate[a] < 0:
-                break
-            a = parent[mate[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = parent[mate[b]]
-
-    def mark_blossom(v: int, ancestor: int, child: int, blossom: list[bool], queue: list[int]) -> None:
-        while base[v] != ancestor:
-            blossom[base[v]] = True
-            blossom[base[mate[v]]] = True
-            parent[v] = child
-            child = mate[v]
-            v = parent[mate[v]]
-
-    def augment_from(root: int) -> bool:
-        nonlocal parent, base, in_queue
-        parent = [-1] * n
-        base = list(range(n))
-        in_queue = [False] * n
-        queue = [root]
-        in_queue[root] = True
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            if meter is not None:
-                meter.tick()
-            scan = adj[v]
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                w = low.bit_length() - 1
-                if base[v] == base[w] or mate[v] == w:
-                    continue
-                if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):
-                    # odd cycle: contract the blossom
-                    ancestor = lowest_common_ancestor(v, w)
-                    blossom = [False] * n
-                    mark_blossom(v, ancestor, w, blossom, queue)
-                    mark_blossom(w, ancestor, v, blossom, queue)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = ancestor
-                            if not in_queue[i]:
-                                in_queue[i] = True
-                                queue.append(i)
-                elif parent[w] < 0:
-                    parent[w] = v
-                    if mate[w] < 0:
-                        # augmenting path found: flip it
-                        while w >= 0:
-                            v = parent[w]
-                            nxt = mate[v]
-                            mate[w] = v
-                            mate[v] = w
-                            w = nxt
-                        return True
-                    if not in_queue[mate[w]]:
-                        in_queue[mate[w]] = True
-                        queue.append(mate[w])
-        return False
-
+    everything = (1 << n) - 1
     for u in range(n):
         if mate[u] < 0:
-            augment_from(u)
+            _augment_from(adj, mate, u, everything, meter)
     return mate
 
 
@@ -500,12 +503,18 @@ def induced_matching_number(g: Graph, budget: SolverBudget | None = None) -> int
     return _mis_size(conflicts, meter)
 
 
+def check_chain(n: int, p: int, q: int, r: int) -> None:
+    """Raise SolverFault unless 1 <= p <= q <= r <= 2q and 2r <= n, as holds
+    for every graph of order n with an edge."""
+    if not (1 <= p <= q <= r <= 2 * q) or 2 * r > n:
+        raise SolverFault(f"invariant chain violated: p={p} q={q} r={r} n={n}")
+
+
 def checked_triple(g: Graph, p: int, q: int, r: int) -> InvariantTriple:
     """(p, q, r) of g once g has an edge and the values pass the chain check."""
     if g.num_edges() == 0:
         raise InputError("invariant triple needs at least one edge")
-    if not (1 <= p <= q <= r <= 2 * q) or 2 * r > g.n:
-        raise SolverFault(f"invariant chain violated: p={p} q={q} r={r} n={g.n}")
+    check_chain(g.n, p, q, r)
     return InvariantTriple(p, q, r)
 
 
@@ -523,14 +532,22 @@ def invariant_triple(g: Graph, budget: SolverBudget | None = None) -> InvariantT
 # canonical augmentation is three yes/no questions about the parent P and
 # the new vertex's neighbourhood S.  The parent is solved and summarised
 # once; every child is then decided from the summary.
+#
+# r needs the Gallai-Edmonds set D(P) of vertices some maximum matching
+# misses (Lovasz and Plummer, Matching Theory, 1986).  Given one maximum
+# matching M, s is in D(P) iff an even M-alternating path joins a free
+# vertex to s (flip it to free s), so D(P) is the union of the even
+# vertices of one failed alternating search from each free vertex.
+#
+# q needs the vertex sets of P's minimum maximal matchings: the sets C of
+# 2q(P) vertices that meet every edge (the uncovered vertices are
+# independent) and have a perfect matching.  A depth-first walk decides the
+# vertices in index order, each into C first and then out of it.  A vertex
+# left out forces all its neighbours in, so a forced vertex stays in.  The
+# walk prunes once more vertices are forced in than C has room for, and
+# runs a blossom solve only at its leaves, the vertex covers of exactly
+# 2q(P) vertices.
 # ---------------------------------------------------------------------------
-
-
-def _union(masks) -> int:
-    out = 0
-    for mask in masks:
-        out |= mask
-    return out
 
 
 class AugmentationParent(NamedTuple):
@@ -546,47 +563,70 @@ class AugmentationParent(NamedTuple):
     near: tuple[int, ...]  # per vertex s, the mask of P's edges meeting N(s)
 
 
+def _matched_covers(adj: tuple[int, ...], size: int, meter: _Meter) -> list[int]:
+    """Masks of the vertex covers of the given size that have a perfect
+    matching, in lexicographic order of their vertex lists."""
+    n = len(adj)
+    covers = []
+
+    def walk(v: int, cover: int, forced: int, room: int) -> None:
+        # cover holds the vertices below v taken, forced the neighbours of
+        # those left out, and room the places left in the cover
+        if (forced >> v).bit_count() > room:
+            return
+        if v == n:
+            rows = tuple(row & cover if cover >> u & 1 else 0 for u, row in enumerate(adj))
+            if sum(w >= 0 for w in _max_matching_mate(rows, n, meter)) == size:
+                covers.append(cover)
+            return
+        if room:
+            walk(v + 1, cover | 1 << v, forced, room - 1)
+        if room < n - v and not forced >> v & 1:
+            walk(v + 1, cover, forced | adj[v], room)
+
+    walk(0, 0, 0, size)
+    return covers
+
+
 def augmentation_parent(
     g: Graph, triple: tuple[int, int, int], budget: SolverBudget | None = None
 ) -> AugmentationParent:
     """Summary of a parent g whose (p, q, r) is already known."""
-    _, q, r = triple
+    _, q, _ = triple
     n, adj = g.n, g.adj
     full = g.vertex_mask()
     meter = _Meter("matching number", budget, n // 2)
     mate = _max_matching_mate(adj, n, meter)
     dmask = 0
     for s in range(n):
-        if mate[s] >= 0:
-            rows = tuple(0 if v == s else row & ~(1 << s) for v, row in enumerate(adj))
-            if sum(w >= 0 for w in _max_matching_mate(rows, n, meter)) < 2 * r:
-                continue
-        dmask |= 1 << s
+        if mate[s] < 0:
+            even = _augment_from(adj, mate, s, full, meter)
+            if not even:
+                raise SolverFault("augmenting path found after a maximum matching")
+            dmask |= even
     meter = _Meter("min maximal matching", budget, n // 2)
     memo: dict = {}
     drop = 0
     for s in range(n):
         if 1 + _min_maximal_size(adj, full ^ (1 << s), memo, meter) == q:
             drop |= 1 << s
-    # C covers a maximal matching of size q iff every edge meets C (the
-    # uncovered vertices are independent) and C has a perfect matching
-    covers = []
-    for chosen in combinations(range(n), 2 * q):
-        cover = sum(1 << v for v in chosen)
-        if any(adj[v] & ~cover for v in bits(full & ~cover)):
-            continue
-        rows = tuple(row & cover if cover >> v & 1 else 0 for v, row in enumerate(adj))
-        if sum(w >= 0 for w in _max_matching_mate(rows, n, meter)) == 2 * q:
-            covers.append(cover)
+    covers = _matched_covers(adj, 2 * q, meter)
     edge_list, conflicts = _edge_conflicts(g)
     incident = [0] * n
     for i, (u, v) in enumerate(edge_list):
         incident[u] |= 1 << i
         incident[v] |= 1 << i
-    near = tuple(_union(incident[x] for x in bits(row)) for row in adj)
+    near = []
+    for row in adj:
+        mask = 0
+        while row:
+            low = row & -row
+            mask |= incident[low.bit_length() - 1]
+            row ^= low
+        near.append(mask)
     return AugmentationParent(
         tuple(triple), dmask, drop, tuple(covers), conflicts,
-        (1 << len(edge_list)) - 1, tuple(incident), near,
+        (1 << len(edge_list)) - 1, tuple(incident), tuple(near),
     )
 
 
@@ -611,13 +651,22 @@ def augmented_triple(
     # p rises iff some edge vs extends an induced matching of size p(P)
     # inside P - S - N(s); the conflicts of that induced subgraph are P's
     # restricted to its edges, as an edge meeting two of them lies inside it.
-    live = parent.edges & ~_union(parent.incident[s] for s in bits(s_mask))
+    incident, near = parent.incident, parent.near
+    live = parent.edges
+    scan = s_mask
+    while scan:
+        low = scan & -scan
+        live &= ~incident[low.bit_length() - 1]
+        scan ^= low
     meter = _Meter("induced matching number", budget, p + 1)
     meter.lower = p
-    for s in bits(s_mask):
-        pool = live & ~parent.near[s]
+    scan = s_mask
+    while scan:
+        low = scan & -scan
+        pool = live & ~near[low.bit_length() - 1]
         if pool.bit_count() >= p and _mis_size(parent.conflicts, meter, pool) >= p:
             return p + 1, q, r
+        scan ^= low
     return p, q, r
 
 
@@ -744,25 +793,27 @@ def satisfies_star2(g: Graph, v: int, budget: SolverBudget | None = None) -> boo
 
 
 # ---------------------------------------------------------------------------
-# Optimal witnesses.  All four come from one greedy self-reduction over the
-# solver that computes their value, so each is the lexicographically least
-# optimum under the fixed item order and reruns agree byte-for-byte.  One
-# meter per call covers the value solve and every reduction step.
+# Optimal witnesses.  Each walks its items in a fixed order and takes an item
+# iff some optimum of what is left contains it, so each is the
+# lexicographically least optimum under that order and reruns agree
+# byte-for-byte.  The matching witness decides an edge by alternating search
+# against one maximum matching; the other three by a greedy self-reduction
+# over the solver that computes their value.  One meter per call covers the
+# value solve and every reduction step.
 # ---------------------------------------------------------------------------
 
 
 def _least_optimum(own: list[int], kill: list[int], pool: int, value, meter: _Meter) -> list[int]:
     """Indices of the least items, in order, that form an optimum of ``pool``.
 
-    ``value(pool)`` returns the optimum of the pool and a mask of the items
-    of one optimal solution of it, or 0 when the solver keeps none.  Item i
-    is available while ``own[i]`` lies inside ``pool``, and taken when it is
-    in the solution at hand or when ``1 + value(pool & ~kill[i])`` is the
-    optimum still needed; either way the rest of a solution containing it
-    stays optimal for the shrunk pool.  A rejected item stays in the pool:
-    no optimum left can use it, or it would have been taken.
+    ``value(pool)`` returns the optimum of the pool.  Item i is available
+    while ``own[i]`` lies inside ``pool``, and taken when
+    ``1 + value(pool & ~kill[i])`` is the optimum still needed, as the rest
+    of a solution containing it stays optimal for the shrunk pool.  A
+    rejected item stays in the pool: no optimum left can use it, or it
+    would have been taken.
     """
-    need, solution = value(pool)
+    need = value(pool)
     meter.lower = meter.upper = need  # proved; the steps below only pick items
     chosen = []
     for i, mask in enumerate(own):
@@ -771,11 +822,8 @@ def _least_optimum(own: list[int], kill: list[int], pool: int, value, meter: _Me
         if mask & ~pool:
             continue
         shrunk = pool & ~kill[i]
-        if not solution >> i & 1:
-            size, found = value(shrunk)
-            if 1 + size != need:
-                continue
-            solution = found
+        if 1 + value(shrunk) != need:
+            continue
         chosen.append(i)
         pool = shrunk
         need -= 1
@@ -784,25 +832,48 @@ def _least_optimum(own: list[int], kill: list[int], pool: int, value, meter: _Me
     return chosen
 
 
-def _matching_witness(g: Graph, value, meter: _Meter) -> tuple[tuple[int, int], ...]:
-    # edges are the items; the pool is the set of vertices still free
-    edges = g.edges()
-    ends = [(1 << u) | (1 << v) for u, v in edges]
-    return tuple(edges[i] for i in _least_optimum(ends, ends, g.vertex_mask(), value, meter))
-
-
 def maximum_matching(g: Graph, budget: SolverBudget | None = None) -> tuple[tuple[int, int], ...]:
-    """Lexicographically least maximum matching of g."""
+    """Lexicographically least maximum matching of g.
+
+    The edges are walked in order, keeping a maximum matching M of the
+    vertices still free, and uv is taken iff some maximum matching of them
+    contains it.  It does if uv is in M or one end is free in M.  Otherwise
+    M's edges ua and vb are dropped, and the rest of M is one edge short of
+    a maximum matching of the free vertices other than u and v iff an
+    augmenting path exists, which must end at a or b: one avoiding both
+    would already augment M.  So two alternating searches decide the edge.
+    """
     meter = _Meter("matching number", budget, g.n // 2)
-    index = {edge: i for i, edge in enumerate(g.edges())}
-
-    def value(free: int) -> tuple[int, int]:
-        rows = tuple(row & free if free >> v & 1 else 0 for v, row in enumerate(g.adj))
-        mate = _max_matching_mate(rows, g.n, meter)
-        solution = sum(1 << index[v, w] for v, w in enumerate(mate) if w > v)
-        return solution.bit_count(), solution
-
-    return _matching_witness(g, value, meter)
+    adj = g.adj
+    mate = _max_matching_mate(adj, g.n, meter)
+    need = sum(w >= 0 for w in mate) // 2
+    meter.lower = meter.upper = need  # proved; the steps below only pick edges
+    pool = g.vertex_mask()
+    chosen = []
+    for u, v in g.edges():
+        if not need:
+            break
+        ends = (1 << u) | (1 << v)
+        if ends & ~pool:
+            continue
+        a, b = mate[u], mate[v]
+        if a >= 0 and b >= 0 and a != v:
+            mate[u] = mate[v] = mate[a] = mate[b] = -1
+            live = pool ^ ends
+            # a search that finds a path flips it into mate
+            if _augment_from(adj, mate, a, live, meter) and _augment_from(adj, mate, b, live, meter):
+                mate[u], mate[a], mate[v], mate[b] = a, u, b, v
+                continue
+        else:  # uv is in M, or one end is free: drop M's edge at the other
+            for x in (a, b, u, v):
+                if x >= 0:
+                    mate[x] = -1
+        chosen.append((u, v))
+        pool ^= ends
+        need -= 1
+    if need:
+        raise SolverFault("witness reconstruction failed")
+    return tuple(chosen)
 
 
 def minimum_maximal_matching(g: Graph, budget: SolverBudget | None = None) -> tuple[tuple[int, int], ...]:
@@ -813,7 +884,14 @@ def minimum_maximal_matching(g: Graph, budget: SolverBudget | None = None) -> tu
     """
     meter = _Meter("min maximal matching", budget, g.n // 2)
     memo: dict = {}
-    return _matching_witness(g, lambda free: (_min_maximal_size(g.adj, free, memo, meter), 0), meter)
+    # edges are the items; the pool is the set of vertices still free
+    edges = g.edges()
+    ends = [(1 << u) | (1 << v) for u, v in edges]
+
+    def value(free: int) -> int:
+        return _min_maximal_size(g.adj, free, memo, meter)
+
+    return tuple(edges[i] for i in _least_optimum(ends, ends, g.vertex_mask(), value, meter))
 
 
 def _mis_witness(neigh: list[int], meter: _Meter) -> list[int]:
@@ -821,7 +899,7 @@ def _mis_witness(neigh: list[int], meter: _Meter) -> list[int]:
     own = [1 << v for v in range(len(neigh))]
     kill = [bit | row for bit, row in zip(own, neigh)]
     pool = (1 << len(neigh)) - 1
-    return _least_optimum(own, kill, pool, lambda pool: (_mis_size(neigh, meter, pool), 0), meter)
+    return _least_optimum(own, kill, pool, lambda pool: _mis_size(neigh, meter, pool), meter)
 
 
 def maximum_induced_matching(g: Graph, budget: SolverBudget | None = None) -> tuple[tuple[int, int], ...]:

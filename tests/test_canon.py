@@ -331,3 +331,17 @@ def test_mask_kernel_matches_the_list_reference_on_random_graphs(pair):
     g, perm = pair
     h = permuted(g, perm)
     _assert_matches_reference(h.adj, h.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_permutation(max_n=16))
+def test_in_last_cell_stopped_early_agrees_with_the_full_refinement(pair):
+    g, perm = pair
+    h = permuted(g, perm)
+    adj, n = h.adj, h.n
+    cells = tuple(sum(1 << u for u in c) for c in _reference_root_cells(adj, n))
+    for v in range(n):
+        canon._last_root[:] = [None, 0, ()]  # no kept partition: refine afresh
+        assert canon.in_last_cell(adj, n, v) == bool(cells[-1] >> v & 1), (adj, v)
+        # a refinement stopped early is not kept as the root partition
+        assert canon._root_cells(adj, n) == cells

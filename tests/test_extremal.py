@@ -148,6 +148,13 @@ def test_incremental_triples_match_the_solvers_to_order_8():
     assert 0 in parents
 
 
+def test_a_forged_child_triple_is_a_fault(monkeypatch):
+    # every child's triple is chain-checked, without building a Graph for it
+    monkeypatch.setattr(extremal, "augmented_triple", lambda summary, s, budget: (1, 1, 3))
+    with pytest.raises(SolverFault):
+        list(extremal._classes(seed_level(3), 3, 4, None, None))
+
+
 def test_pruned_scan_finds_every_census_row():
     # a least-edge search keeps only the classes that can still reach its
     # target; an on-target class's ancestors are its induced subgraphs, so

@@ -1,8 +1,10 @@
 """Solver correctness: oracle equivalence, known values, witnesses, budgets."""
 
+import importlib.util
 import itertools
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,6 +24,7 @@ from eml.graphs import (
     is_matching,
     is_maximal_matching,
     matched_mask,
+    parse_graph6,
 )
 from eml.solvers import (
     BudgetExceeded,
@@ -477,6 +480,34 @@ def test_witnesses_are_lex_least_optima(g):
     assert maximum_induced_matching(g) == best
 
 
+def _least_maximum_matching_by_reduction(g):
+    """Each edge in order, taken iff a whole matching solve on the free
+    vertices other than its ends still leaves the matching number needed."""
+    need, free, chosen = matching_number(g), g.vertex_mask(), []
+    for u, v in g.edges():
+        ends = (1 << u) | (1 << v)
+        if need and not ends & ~free and 1 + matching_number(induced_subgraph(g, free ^ ends)) == need:
+            chosen.append((u, v))
+            free ^= ends
+            need -= 1
+    return tuple(chosen)
+
+
+def _bench_invariant_graphs(seed):
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [parse_graph6(line) for line in module.invariant_graphs(seed)]
+
+
+def test_r_witness_matches_the_reduction_on_the_invariants_file():
+    # the 540 seeded graphs of order 14-22 of the seed-101 invariants workload
+    for g in _bench_invariant_graphs(101):
+        assert maximum_matching(g) == _least_maximum_matching_by_reduction(g), g.adj
+
+
 def test_q_witness_is_the_first_streamed_minimum():
     for n in range(2, 8):
         for adj, _ in seed_level(n):
@@ -522,6 +553,43 @@ def test_child_rules_agree_with_the_oracle(g):
     triple = brute_force_invariants(parent) if parent.num_edges() else (0, 0, 0)
     summary = augmentation_parent(parent, triple)
     assert augmented_triple(summary, g.adj[k]) == brute_force_invariants(g), g.adj
+
+
+def _covers_by_sweep(g, q):
+    """Vertex sets of 2q vertices that meet every edge and have a perfect
+    matching, swept over every combination in order."""
+    covers = []
+    for chosen in itertools.combinations(range(g.n), 2 * q):
+        cover = sum(1 << v for v in chosen)
+        if any(g.adj[v] & ~cover for v in range(g.n) if not cover >> v & 1):
+            continue
+        if matching_number(induced_subgraph(g, cover)) == q:
+            covers.append(cover)
+    return tuple(covers)
+
+
+def _assert_summary_matches_definitions(g):
+    triple = _triple(g)
+    summary = augmentation_parent(g, triple)
+    full = g.vertex_mask()
+    # the Gallai-Edmonds set, one matching solve per vertex
+    dmask = sum(
+        1 << s for s in range(g.n)
+        if matching_number(induced_subgraph(g, full ^ (1 << s))) == triple[2]
+    )
+    assert summary.dmask == dmask, g.adj
+    assert summary.covers == _covers_by_sweep(g, triple[1]), g.adj
+
+
+def test_parent_summary_matches_the_definitions_on_every_order_7_class():
+    for adj, _ in seed_level(7):
+        _assert_summary_matches_definitions(Graph(7, adj))
+
+
+@given(graphs(min_n=2, max_n=16, p_num=1, p_den=3))
+@settings(max_examples=200, deadline=None)
+def test_parent_summary_matches_the_definitions(g):
+    _assert_summary_matches_definitions(g)
 
 
 def test_child_rules_on_an_edgeless_parent():
